@@ -1011,6 +1011,27 @@ def _add_flow_args(parser: argparse.ArgumentParser,
                              "(regression-gate testing)")
 
 
+#: ``--profile-mem`` modes; the bare flag means the first.
+_MEM_MODES = ("sampled", "trace")
+
+
+def _bare_profile_mem(argv: list[str]) -> list[str]:
+    """Spell a bare ``--profile-mem`` as ``--profile-mem=sampled``.
+
+    The flag's MODE is optional, so argparse would take whatever token
+    follows a bare flag -- usually the subcommand -- as the MODE and
+    reject it (``repro-gap --profile-mem flow asic``).
+    """
+    out = list(argv)
+    for i, arg in enumerate(out):
+        if arg == "--":
+            break
+        following = out[i + 1] if i + 1 < len(out) else None
+        if arg == "--profile-mem" and following not in _MEM_MODES:
+            out[i] = f"--profile-mem={_MEM_MODES[0]}"
+    return out
+
+
 def _obs_flags(parser: argparse.ArgumentParser,
                suppress: bool = False) -> None:
     """Register the global observability flags on a parser.
@@ -1072,7 +1093,7 @@ def _obs_flags(parser: argparse.ArgumentParser,
     )
     parser.add_argument(
         "--profile-mem", nargs="?", const="sampled",
-        choices=("sampled", "trace"), metavar="MODE",
+        choices=_MEM_MODES, metavar="MODE",
         help="attribute peak memory (KiB) to every flow stage. "
              "MODE 'sampled' (the default) polls the process RSS from "
              "a background thread at negligible cost; 'trace' uses "
@@ -1424,7 +1445,8 @@ def main(argv: list[str] | None = None) -> int:
     from repro.obs import ledger as run_ledger
 
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _bare_profile_mem(sys.argv[1:] if argv is None else argv))
     trace_path = getattr(args, "trace", None)
     chrome_path = getattr(args, "trace_chrome", None)
     profile = getattr(args, "profile", False)

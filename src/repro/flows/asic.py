@@ -107,9 +107,9 @@ def _stage_place(ctx: FlowContext) -> None:
     )
     ctx["placement"] = placement
     ctx["wire"] = placement.parasitics(ctx["library"])
-    ctx.notes["wirelength_um"] = placement.total_wirelength_um()
-    ctx.span.set(quality=quality,
-                 wirelength_um=placement.total_wirelength_um())
+    wirelength = placement.total_wirelength_um()
+    ctx.notes["wirelength_um"] = wirelength
+    ctx.span.set(quality=quality, wirelength_um=wirelength)
 
 
 def _recover_place(ctx: FlowContext) -> None:

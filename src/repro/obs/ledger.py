@@ -37,7 +37,7 @@ import os
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Iterable
 
 #: Record schema version; bump on incompatible field changes.
@@ -126,6 +126,13 @@ class RunRecord:
     result: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        # Records leave the process as JSON, often from an atexit hook
+        # where a serialisation error is lost; a numpy scalar (say the
+        # ``numpy.bool_`` of comparing two numpy values) is not JSON.
+        for f in fields(self):
+            setattr(self, f.name, _plain(getattr(self, f.name)))
+
     def to_dict(self) -> dict:
         return {
             "schema": self.schema,
@@ -196,6 +203,18 @@ class RunRecord:
             parts.append(f"{failed} failed")
         detail = f" ({', '.join(parts)})" if parts else ""
         return f"{len(self.stages)} stages{detail}"
+
+
+def _plain(value: Any) -> Any:
+    """``value`` with every numpy scalar or array, also inside dicts,
+    lists and tuples, replaced by the Python value ``json`` writes."""
+    if type(value) is dict:
+        return {_plain(key): _plain(item) for key, item in value.items()}
+    if type(value) in (list, tuple):
+        return type(value)(_plain(item) for item in value)
+    if type(value).__module__ == "numpy" and hasattr(value, "tolist"):
+        return value.tolist()
+    return value
 
 
 def _atomic_write_text(path: str, text: str) -> None:

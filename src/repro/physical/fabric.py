@@ -32,11 +32,7 @@ from repro.netlist.graph import topological_order
 from repro.netlist.module import Module
 from repro.optimize.anneal import anneal
 from repro.physical.geometry import GeometryError, Point
-from repro.physical.placement import (
-    Placement,
-    ROUTE_DETOUR,
-    _instance_nets,
-)
+from repro.physical.placement import NetLengths, Placement, ROUTE_DETOUR
 from repro.physical.routing import CongestionModel
 
 #: Every Nth fabric column is prefabricated as sequential sites; the
@@ -245,31 +241,19 @@ class SlotAssignment(Placement):
     """A netlist assigned onto fabric slots (placement protocol).
 
     Inherits the HPWL bookkeeping and parasitics export from
-    :class:`~repro.physical.placement.Placement`; the routed-length
-    estimate swaps the flat detour allowance for a congestion-dependent
-    one, because a tight master leaves the router fewer free tracks.
+    :class:`~repro.physical.placement.Placement`; its ``detour_factor``
+    is a congestion-dependent one instead of the flat allowance,
+    because a tight master leaves the router fewer free tracks.
 
     Attributes:
         fabric: the master hosting the design.
         slot_of: instance name -> (row, col) slot.
-        detour_factor: routed length over HPWL at this utilization.
         utilization: per-site-type accounting of the assignment.
     """
 
     fabric: Fabric = None
     slot_of: dict[str, tuple[int, int]] = field(default_factory=dict)
-    detour_factor: float = ROUTE_DETOUR
     utilization: FabricUtilization = None
-
-    def net_length_um(self, net: str) -> float:
-        """Estimated routed length (HPWL x congestion detour)."""
-        pins = self._net_pins(net)
-        if len(pins) < 2:
-            return 0.0
-        xs = [p.x for p in pins]
-        ys = [p.y for p in pins]
-        hpwl = (max(xs) - min(xs)) + (max(ys) - min(ys))
-        return hpwl * self.detour_factor
 
 
 class _SlotMoves:
@@ -277,71 +261,75 @@ class _SlotMoves:
 
     A move targets any compatible slot -- occupied (swap) or free
     (relocate) -- so the annealer can both untangle crossings and pull
-    the design together on a sparse master.
+    the design together on a sparse master.  Slots are tracked per
+    instance index and written back by :meth:`write_back`.
     """
 
     def __init__(self, assignment: SlotAssignment,
                  kind_of: dict[str, str]) -> None:
         self.assignment = assignment
-        self.names = list(assignment.positions)
-        self.touching = _instance_nets(assignment.module)
-        self.kind_of = kind_of
-        self.slots_by_kind = {
-            kind: assignment.fabric.slots_of_kind(kind)
-            for kind in ("logic", "seq")
+        self.cost = NetLengths(assignment)
+        names = self.cost.names
+        fabric = assignment.fabric
+        slots_by_kind = {
+            kind: fabric.slots_of_kind(kind) for kind in ("logic", "seq")
         }
-        self.occupant: dict[tuple[int, int], str] = {
-            slot: name for name, slot in assignment.slot_of.items()
+        self.slots_of = [slots_by_kind[kind_of[name]] for name in names]
+        self.center = {
+            slot: fabric.slot_center(*slot)
+            for slots in slots_by_kind.values() for slot in slots
+        }
+        self.slot = [assignment.slot_of[name] for name in names]
+        self.occupant: dict[tuple[int, int], int] = {
+            slot: i for i, slot in enumerate(self.slot)
         }
         self._last: tuple | None = None
 
-    def propose(self, rng: random.Random) -> tuple[str, tuple[int, int]]:
-        name = self.names[rng.randrange(len(self.names))]
-        slots = self.slots_by_kind[self.kind_of[name]]
-        return name, slots[rng.randrange(len(slots))]
+    def propose(self, rng: random.Random) -> tuple[int, tuple[int, int]]:
+        i = rng.randrange(len(self.slot))
+        slots = self.slots_of[i]
+        return i, slots[rng.randrange(len(slots))]
 
-    def _relocate(self, name: str, source: tuple[int, int],
-                  target: tuple[int, int], other: str | None) -> None:
-        assignment = self.assignment
-        fabric = assignment.fabric
-        assignment.slot_of[name] = target
-        assignment.positions[name] = fabric.slot_center(*target)
-        self.occupant[target] = name
+    def _reassign(self, i: int, source: tuple[int, int],
+                  target: tuple[int, int], other: int | None) -> None:
+        self.slot[i] = target
+        self.occupant[target] = i
         if other is None:
             del self.occupant[source]
         else:
-            assignment.slot_of[other] = source
-            assignment.positions[other] = fabric.slot_center(*source)
+            self.slot[other] = source
             self.occupant[source] = other
 
-    def apply(self, move: tuple[str, tuple[int, int]]) -> float:
-        name, target = move
-        source = self.assignment.slot_of[name]
+    def apply(self, move: tuple[int, tuple[int, int]]) -> float:
+        i, target = move
+        source = self.slot[i]
         if source == target:
             self._last = None
             return 0.0
         other = self.occupant.get(target)
-        touched = set(self.touching[name])
+        self._reassign(i, source, target, other)
+        self._last = (i, source, target, other)
+        moved = [(i, self.center[target])]
         if other is not None:
-            touched |= set(self.touching[other])
-        # Sorted so the float summation order (and with it every
-        # accept/reject decision) is independent of PYTHONHASHSEED.
-        nets = sorted(touched)
-        before = sum(self.assignment.net_length_um(n) for n in nets)
-        self._relocate(name, source, target, other)
-        after = sum(self.assignment.net_length_um(n) for n in nets)
-        self._last = (name, source, target, other)
-        return after - before
+            moved.append((other, self.center[source]))
+        return self.cost.move(moved)
 
-    def revert(self, move: tuple[str, tuple[int, int]]) -> None:
+    def revert(self, move: tuple[int, tuple[int, int]]) -> None:
         if self._last is None:
             return
-        name, source, target, other = self._last
+        i, source, target, other = self._last
         if other is None:
-            self._relocate(name, target, source, None)
+            self._reassign(i, target, source, None)
         else:
-            self._relocate(other, source, target, name)
+            self._reassign(other, source, target, i)
+        self.cost.revert()
         self._last = None
+
+    def write_back(self) -> None:
+        """Store the annealed slots and positions in the assignment."""
+        for name, slot in zip(self.cost.names, self.slot):
+            self.assignment.slot_of[name] = slot
+        self.cost.write_back()
 
 
 def assign_slots(
@@ -428,8 +416,7 @@ def assign_slots(
     )
     if refine and len(instances) >= 2:
         steps = iterations if iterations is not None else 40 * len(instances)
-        anneal(
-            _SlotMoves(assignment, kind_of), rng, steps=steps,
-            temperature=fabric.pitch_um * 4.0,
-        )
+        moves = _SlotMoves(assignment, kind_of)
+        anneal(moves, rng, steps=steps, temperature=fabric.pitch_um * 4.0)
+        moves.write_back()
     return assignment

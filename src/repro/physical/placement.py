@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Sequence
 
 from repro.cells.library import CellLibrary
 from repro.netlist.graph import topological_order
@@ -45,12 +47,14 @@ class Placement:
         positions: instance name -> location (um).
         port_positions: port name -> location on the die boundary.
         pitch_um: slot pitch of the placement grid.
+        detour_factor: routed length over HPWL.
     """
 
     module: Module
     positions: dict[str, Point]
     port_positions: dict[str, Point]
     pitch_um: float
+    detour_factor: float = ROUTE_DETOUR
 
     def net_length_um(self, net: str) -> float:
         """Estimated routed length of one net (HPWL x detour)."""
@@ -60,7 +64,7 @@ class Placement:
         xs = [p.x for p in pins]
         ys = [p.y for p in pins]
         hpwl = (max(xs) - min(xs)) + (max(ys) - min(ys))
-        return hpwl * ROUTE_DETOUR
+        return hpwl * self.detour_factor
 
     def _net_pins(self, net: str) -> list[Point]:
         pins: list[Point] = []
@@ -188,13 +192,101 @@ def place(
     return placement
 
 
-def _instance_nets(module: Module) -> dict[str, list[str]]:
-    """Instance -> nets it touches (for incremental cost updates)."""
-    touching: dict[str, list[str]] = {name: [] for name in module.instances}
-    for inst in module.iter_instances():
-        for net in list(inst.inputs.values()) + list(inst.outputs.values()):
-            touching[inst.name].append(net)
-    return touching
+class NetLengths:
+    """Net-indexed HPWL cost with a per-net length cache.
+
+    The cost object both annealers share, built once per anneal.  It
+    holds every placed instance's location (in ``placement.positions``
+    order) plus flat ``xs``/``ys`` coordinate lists: the instances
+    first, then the fixed port pins.  Each net is an ``itemgetter``
+    over its pin indices into those lists, and its current length is
+    cached, so a move's "before" is a lookup and only its "after" is
+    measured.  Net ids follow sorted net names, so summing a move's
+    nets in id order keeps the PYTHONHASHSEED-independent order every
+    accept/reject decision depends on.  A length is computed exactly as
+    :meth:`Placement.net_length_um` computes it (exact ``max``/``min``,
+    the same detour factor), which stays the oracle.
+    """
+
+    def __init__(self, placement: Placement) -> None:
+        module = placement.module
+        self.placement = placement
+        self.detour = placement.detour_factor
+        self.names = list(placement.positions)
+        #: Instance index -> current location.
+        self.points = list(placement.positions.values())
+        index = {name: i for i, name in enumerate(self.names)}
+        port_index = {
+            port: len(self.names) + k
+            for k, port in enumerate(placement.port_positions)
+        }
+        pins_at = self.points + list(placement.port_positions.values())
+        self.xs = [p.x for p in pins_at]
+        self.ys = [p.y for p in pins_at]
+        #: Net names by id.
+        self.nets = sorted(module.nets)
+        touching: list[set[int]] = [set() for _ in self.names]
+        self._pins: list[itemgetter | None] = []
+        for net_id, net in enumerate(self.nets):
+            driver = module.driver_of(net)
+            endpoints = [driver] if driver is not None else []
+            pins = []
+            for endpoint in endpoints + module.sinks_of(net):
+                if is_port_ref(endpoint):
+                    pins.append(port_index[str(endpoint).split(":", 1)[1]])
+                else:
+                    pin = index[endpoint[0]]
+                    pins.append(pin)
+                    touching[pin].add(net_id)
+            # Nets with fewer than two pins never have a length.
+            self._pins.append(itemgetter(*pins) if len(pins) >= 2 else None)
+        #: Instance index -> ids of the nets it touches.
+        self.nets_of = [frozenset(nets) for nets in touching]
+        #: Net id -> current length (um).
+        self.lengths = [self._measure(pins) for pins in self._pins]
+        self._undo: list[tuple[int, Point]] = []
+        self._saved: list[tuple[int, float]] = []
+
+    def _measure(self, pins: itemgetter | None) -> float:
+        if pins is None:
+            return 0.0
+        xs = pins(self.xs)
+        ys = pins(self.ys)
+        hpwl = (max(xs) - min(xs)) + (max(ys) - min(ys))
+        return hpwl * self.detour
+
+    def _place(self, i: int, point: Point) -> None:
+        self.points[i] = point
+        self.xs[i] = point.x
+        self.ys[i] = point.y
+
+    def move(self, moved: Sequence[tuple[int, Point]]) -> float:
+        """Move instances to new ``(index, location)`` pairs; return the
+        change in the summed length of the nets they touch."""
+        lengths = self.lengths
+        self._undo = [(i, self.points[i]) for i, _ in moved]
+        touched: set[int] = set()
+        for i, point in moved:
+            self._place(i, point)
+            touched |= self.nets_of[i]
+        nets = sorted(touched)
+        before = sum(lengths[n] for n in nets)
+        self._saved = [(n, lengths[n]) for n in nets]
+        for n in nets:
+            lengths[n] = self._measure(self._pins[n])
+        after = sum(lengths[n] for n in nets)
+        return after - before
+
+    def revert(self) -> None:
+        """Undo the last :meth:`move`: locations and saved lengths."""
+        for i, point in self._undo:
+            self._place(i, point)
+        for n, length in self._saved:
+            self.lengths[n] = length
+
+    def write_back(self) -> None:
+        """Store the current locations in ``placement.positions``."""
+        self.placement.positions.update(zip(self.names, self.points))
 
 
 class _PositionSwaps:
@@ -205,37 +297,27 @@ class _PositionSwaps:
     """
 
     def __init__(self, placement: Placement) -> None:
-        self.placement = placement
-        self.names = list(placement.positions)
-        self.touching = _instance_nets(placement.module)
+        self.cost = NetLengths(placement)
+        self.ids = range(len(self.cost.names))
 
-    def propose(self, rng: random.Random) -> tuple[str, str]:
-        a, b = rng.sample(self.names, 2)
+    def propose(self, rng: random.Random) -> tuple[int, int]:
+        # Sampling indices draws exactly what sampling the names did.
+        a, b = rng.sample(self.ids, 2)
         return a, b
 
-    def _swap(self, a: str, b: str) -> None:
-        positions = self.placement.positions
-        positions[a], positions[b] = positions[b], positions[a]
-
-    def apply(self, move: tuple[str, str]) -> float:
+    def apply(self, move: tuple[int, int]) -> float:
         a, b = move
-        # Sorted so the float summation order (and with it every
-        # accept/reject decision) is independent of PYTHONHASHSEED.
-        nets = sorted(set(self.touching[a]) | set(self.touching[b]))
-        before = sum(self.placement.net_length_um(n) for n in nets)
-        self._swap(a, b)
-        after = sum(self.placement.net_length_um(n) for n in nets)
-        return after - before
+        points = self.cost.points
+        return self.cost.move(((a, points[b]), (b, points[a])))
 
-    def revert(self, move: tuple[str, str]) -> None:
-        self._swap(*move)
+    def revert(self, move: tuple[int, int]) -> None:
+        self.cost.revert()
 
 
 def _anneal(placement: Placement, rng: random.Random, steps: int) -> None:
     """Pairwise-swap annealing on total HPWL."""
     if len(placement.positions) < 2:
         return
-    anneal(
-        _PositionSwaps(placement), rng, steps=steps,
-        temperature=placement.pitch_um * 4.0,
-    )
+    swaps = _PositionSwaps(placement)
+    anneal(swaps, rng, steps=steps, temperature=placement.pitch_um * 4.0)
+    swaps.cost.write_back()

@@ -404,6 +404,24 @@ class TestDeepProfiling:
             assert stage["cpu_s"] is not None
             assert stage["peak_mem_kb"] is not None
 
+    @pytest.mark.parametrize("flags, mode", [
+        (["--profile-mem"], "sampled"),
+        (["--profile-mem", "trace"], "trace"),
+    ])
+    def test_profile_mem_before_subcommand(self, flags, mode, monkeypatch):
+        from repro.obs import profile as obs_profile
+
+        modes = []
+        configure = obs_profile.configure
+
+        def spy(**kwargs):
+            modes.append(kwargs.get("mem"))
+            configure(**kwargs)
+
+        monkeypatch.setattr(obs_profile, "configure", spy)
+        assert main(flags + self.FLOW) == 0
+        assert modes == [mode]
+
     def test_profile_flags_reset_after_command(self):
         from repro.obs import profile as obs_profile
 

@@ -2,8 +2,11 @@
 
 import json
 import os
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs import ledger, regress, render
 from repro.obs.ledger import RunLedger, RunRecord
@@ -72,6 +75,52 @@ class TestRunRecord:
         ])
         assert rec.stage_summary() == "3 stages (1 cached, 1 failed)"
         assert make_record().stage_summary() == "-"
+
+
+_FINITE = {"allow_nan": False, "allow_infinity": False}
+
+#: JSON scalars, plus the numpy scalars numeric code hands the ledger.
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**62, 2**62),
+    st.floats(**_FINITE), st.text(max_size=6),
+    st.booleans().map(np.bool_),
+    st.integers(-2**62, 2**62).map(np.int64),
+    st.floats(**_FINITE).map(np.float64),
+    st.floats(width=32, **_FINITE).map(np.float32),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner,
+                                     max_size=3)),
+    max_leaves=10,
+)
+_DICTS = st.dictionaries(st.text(max_size=6), _VALUES, max_size=3)
+_LISTS = st.lists(_DICTS, max_size=3)
+
+
+class TestNumpyScalars:
+    def test_paperbench_claim_with_numpy_bool_is_written(self, tmp_path):
+        value = np.float64(1.5)
+        rec = RunRecord(kind="paperbench", label="p", fingerprint="f",
+                        claims={"c": {"value": value,
+                                      "ok": 1.0 <= value <= 2.0}})
+        path = RunLedger(str(tmp_path)).append(rec)
+        with open(path) as handle:
+            assert json.load(handle)["claims"]["c"]["ok"] is True
+
+    @settings(max_examples=60, deadline=None)
+    @given(wall_s=st.floats(min_value=0.0, **_FINITE).map(np.float64),
+           config=_DICTS, stages=_LISTS, metrics=_DICTS, claims=_DICTS,
+           spans=_LISTS, diagnostics=_LISTS, result=_DICTS,
+           failures=_LISTS, worker=st.booleans().map(np.bool_))
+    def test_ledger_round_trip(self, **fields):
+        rec = RunRecord(kind="paperbench", label="p", fingerprint="f",
+                        **fields)
+        with tempfile.TemporaryDirectory() as directory:
+            led = RunLedger(directory)
+            led.append(rec)
+            assert led.load("last") == rec
 
 
 class TestRunLedger:
