@@ -148,6 +148,7 @@ def _stage_size(ctx: FlowContext) -> None:
         sizing = guarded_size_for_speed(
             ctx["module"], ctx["library"], ctx["clock"],
             wire=ctx.get("wire"), max_moves=options.sizing_moves,
+            use_array=options.use_array, check_array=options.check_array,
         )
         ctx.notes["sizing_moves"] = float(sizing.moves)
         ctx.notes["sizing_speedup"] = sizing.speedup

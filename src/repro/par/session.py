@@ -26,11 +26,19 @@ journal; :meth:`commit` applies it and returns the resulting
 Topology changes (buffering, resynthesis) invalidate a session: build a
 new one.  Sequential cells cannot be resized through a session.
 
+:meth:`trial` also takes a list of ``(instance, cell_name)`` moves and
+returns their periods in order, each evaluated against the same
+committed state.
+
 :class:`ArrayTimingSession` is the drop-in vectorized variant: it
-compiles the timing graph once (:mod:`repro.sta.array`) and re-runs the
-whole level sweep per move, refreshing only the swapped instances'
-coefficient slots.  Designs the array engine cannot reproduce exactly
-degrade transparently to a :class:`TimingSession`.
+compiles the timing graph once (:mod:`repro.sta.array`) and evaluates a
+list of trial moves as the rows of one level sweep.  Each row overrides
+only the coefficient slots its move touches (the swapped instance and
+the drivers of its input nets), so every row equals that move's
+single-row propagation bit for bit, and a commit of a trialled move
+adopts its row instead of propagating again.  Designs the array engine
+cannot reproduce exactly degrade transparently to a
+:class:`TimingSession`.
 """
 
 from __future__ import annotations
@@ -384,13 +392,18 @@ class TimingSession:
             self._slew[net] = sl
             self._trace[net] = tr
 
-    def trial(self, instance: str, cell_name: str) -> float:
+    def trial(self, instance, cell_name: str | None = None):
         """Minimum period if the swap were made; session state restored.
+
+        ``trial(moves)`` with a list of ``(instance, cell_name)`` pairs
+        returns the list of their periods, one trial after another.
 
         Raises:
             TimingError: if the move propagates a non-finite arrival
                 (state is still restored before the raise).
         """
+        if not isinstance(instance, str):
+            return [self.trial(inst, cell) for inst, cell in instance]
         obs.count("par.session.trials")
         if self.module.instance(instance).cell_name == cell_name:
             return self.min_period_ps()
@@ -510,20 +523,22 @@ class ArrayTimingSession:
     """:class:`TimingSession` on the compiled array engine.
 
     Same constructor and move API.  One
-    :class:`~repro.sta.array.CompiledTiming` is paid for up front; a
-    sizing move refreshes only the affected instances' coefficient
-    slots (the swapped cell plus the drivers of its input nets, whose
-    loads changed) and re-runs the vectorized level sweep.  The sweep
-    re-times the whole netlist, but it is a handful of numpy passes
-    rather than a Python cone walk, and the compile -- the expensive
-    part -- is reused across every trial and commit.
+    :class:`~repro.sta.array.CompiledTiming` is paid for up front.  A
+    list of trial moves becomes one multi-row propagation: each move is
+    swapped in, the coefficients of the instances it touches (the
+    swapped cell plus the drivers of its input nets, whose loads
+    changed) are captured as that row's override, and the swap is
+    reverted.  The sweep re-times the whole netlist per row, but its
+    cost is numpy dispatch per level, which all rows share.
 
     Exactness contract: identical results to :class:`TimingSession`
     (itself bitwise-equal to :func:`repro.sta.engine.analyze`).  When
     the array engine cannot guarantee that -- undriven logic, poisoned
     or unknown arc models, non-finite arithmetic -- the session
-    degrades to a delegate :class:`TimingSession`, so callers see the
-    object engine's exact values and typed errors either way.
+    degrades to a delegate :class:`TimingSession`, and a trial batch it
+    rejects is re-run row by row, so callers see the object engine's
+    exact values and typed errors either way.  ``check=True`` also
+    re-derives every trial period with :meth:`TimingSession.trial`.
     """
 
     def __init__(
@@ -554,6 +569,10 @@ class ArrayTimingSession:
         self._derates = np.array([delay_derate])
         self._check = check
         self._delegate: TimingSession | None = None
+        #: The last array-evaluated trial batch, ``(moves, state)``; valid
+        #: until the next commit changes the committed state.
+        self._last: tuple[list, object] | None = None
+        self._touched_of: dict[str, tuple[str, ...]] = {}
         from repro.sta.array import _ArrayFallback, compile_timing
 
         try:
@@ -576,17 +595,21 @@ class ArrayTimingSession:
         if self._check:
             self._verify_against_full()
 
-    def _degrade(self) -> None:
-        """Swap in a TimingSession delegate (exact errors included)."""
-        self._delegate = TimingSession(
+    def _object_session(self, check: bool = False) -> TimingSession:
+        """A :class:`TimingSession` on the module's current cells."""
+        return TimingSession(
             self.module, self.library, self.clock,
             wire=self._wire,
             input_slew_ps=self._input_slew,
             input_arrival_ps=self._input_arrival,
             output_load_ff=self._output_load,
             delay_derate=self._derate,
-            check=self._check,
+            check=check,
         )
+
+    def _degrade(self) -> None:
+        """Swap in a TimingSession delegate (exact errors included)."""
+        self._delegate = self._object_session(check=self._check)
 
     def _build_endpoint_rows(self) -> bool:
         """Vectorized endpoint accounting; False if any net is undefined."""
@@ -634,8 +657,11 @@ class ArrayTimingSession:
     # Moves
     # ------------------------------------------------------------------
 
-    def _swap(self, instance: str, cell_name: str) -> tuple[str, ...]:
-        """Replace a cell and refresh coefficients; returns touched names."""
+    def _set_cell(self, instance: str, cell_name: str) -> str:
+        """Put a cell into the module and graph; returns the old name.
+
+        The compiled coefficients are not refreshed.
+        """
         old_cell = self._graph.cell_of(instance)
         new_cell = self.library.get(cell_name)
         if old_cell.is_sequential or new_cell.is_sequential:
@@ -643,67 +669,137 @@ class ArrayTimingSession:
                 f"cannot resize {instance!r} through a TimingSession: "
                 "sequential cells are fixed for a session's lifetime"
             )
-        inst = self.module.instance(instance)
+        old = self.module.instance(instance).cell_name
         self.module.replace_cell(instance, cell_name)
         self._graph.rebind(instance)
-        touched = {instance}
-        for in_net in set(inst.inputs.values()):
-            driver = self.module.driver_of(in_net)
-            if (
-                driver is not None
-                and not is_port_ref(driver)
-                and not self._graph.cell_of(driver[0]).is_sequential
-            ):
-                touched.add(driver[0])
-        self._compiled.refresh(touched)
-        return tuple(touched)
+        return old
 
-    def _min_period_of(self, state) -> float:
+    def _touched(self, instance: str) -> tuple[str, ...]:
+        """Instances whose coefficients a swap of ``instance`` changes:
+        itself and the combinational drivers of its input nets (their
+        loads change)."""
+        got = self._touched_of.get(instance)
+        if got is None:
+            touched = {instance}
+            for in_net in self.module.instance(instance).inputs.values():
+                driver = self.module.driver_of(in_net)
+                if (
+                    driver is not None
+                    and not is_port_ref(driver)
+                    and not self._graph.cell_of(driver[0]).is_sequential
+                ):
+                    touched.add(driver[0])
+            got = self._touched_of[instance] = tuple(touched)
+        return got
+
+    def _capture(self, instance: str, cell_name: str):
+        """One move's coefficient override (None for a no-op move); the
+        module and the compiled coefficients are left as they were."""
+        if self.module.instance(instance).cell_name == cell_name:
+            return None
+        old = self._set_cell(instance, cell_name)
+        try:
+            return self._compiled.capture(self._touched(instance))
+        finally:
+            self._set_cell(instance, old)
+
+    def _min_periods_of(self, state) -> list[float]:
         if self._ep_net.size == 0:
             raise TimingError(
                 f"module {self.module.name} has no timing endpoints"
             )
-        at = state.arr[0, self._ep_net] + self._ep_wire
+        at = state.arr[:, self._ep_net] + self._ep_wire
         mp = ((at + self._ep_setup) + self.clock.skew_ps) - self._ep_borrow
         np.maximum(mp, 1e-3, out=mp)
-        return float(np.where(self._ep_isreg, mp, at).max())
+        return np.where(self._ep_isreg, mp, at).max(axis=1).tolist()
 
-    def trial(self, instance: str, cell_name: str) -> float:
-        """Minimum period if the swap were made; session state restored."""
+    def trial(self, instance, cell_name: str | None = None):
+        """Minimum period if the swap were made; session state restored.
+
+        ``trial(moves)`` with a list of ``(instance, cell_name)`` pairs
+        evaluates them all, each against the committed state, as rows of
+        one propagation and returns their periods in order.  Errors are
+        those of a loop of single trials: the first failing move's.
+        """
         if self._delegate is not None:
             return self._delegate.trial(instance, cell_name)
-        obs.count("par.session.trials")
-        old = self.module.instance(instance).cell_name
-        if old == cell_name:
-            return self._min_period_of(self._state)
+        if isinstance(instance, str):
+            return self._trials([(instance, cell_name)])[0]
+        return self._trials([(inst, cell) for inst, cell in instance])
+
+    def _trials(self, moves: list[tuple[str, str]]) -> list[float]:
+        obs.count("par.session.trials", len(moves))
+        rows = []
+        error = None
+        for instance, cell_name in moves:
+            try:
+                rows.append(self._capture(instance, cell_name))
+            except TimingError as exc:
+                # Evaluate the moves before it first: one of them may
+                # raise its own error, as a loop of single trials would.
+                error = exc
+                break
+        periods = self._evaluate(moves[:len(rows)], rows) if rows else []
+        if error is not None:
+            raise error
+        if self._check:
+            self._verify_trials(moves, periods)
+        return periods
+
+    def _evaluate(self, moves, rows) -> list[float]:
         from repro.sta.array import _ArrayFallback
 
-        touched = self._swap(instance, cell_name)
         try:
-            try:
-                state = self._compiled.propagate(
-                    self._input_slew, self._input_arrival, self._derates
-                )
-            except _ArrayFallback:
-                obs.count("sta.array.fallbacks")
-                # The object engine is the only faithful evaluator of
-                # this move (poisoned arcs, NaN shadowing with the
-                # finite guard off): a scratch session either raises
-                # its exact typed error or yields the exact period.
-                scratch = TimingSession(
-                    self.module, self.library, self.clock,
-                    wire=self._wire,
-                    input_slew_ps=self._input_slew,
-                    input_arrival_ps=self._input_arrival,
-                    output_load_ff=self._output_load,
-                    delay_derate=self._derate,
-                )
-                return scratch.min_period_ps()
-            return self._min_period_of(state)
+            state = self._compiled.propagate(
+                self._input_slew, self._input_arrival,
+                np.full(len(rows), self._derate), rows,
+            )
+        except _ArrayFallback:
+            obs.count("sta.array.fallbacks")
+            if len(rows) > 1:
+                # Only the rows that need the object engine pay for it.
+                return [
+                    period for move, row in zip(moves, rows)
+                    for period in self._evaluate([move], [row])
+                ]
+            return [self._object_trial(*moves[0])]
+        self._last = (moves, state)
+        return self._min_periods_of(state)
+
+    def _object_trial(self, instance: str, cell_name: str) -> float:
+        """The move's period from a scratch object session.
+
+        The object engine is the only faithful evaluator of a move the
+        array engine rejects (poisoned arcs, NaN shadowing with the
+        finite guard off): it either raises its exact typed error or
+        yields the exact period.
+        """
+        old = self._set_cell(instance, cell_name)
+        try:
+            return self._object_session().min_period_ps()
         finally:
-            self.module.replace_cell(instance, old)
-            self._graph.rebind(instance)
-            self._compiled.refresh(touched)
+            self._set_cell(instance, old)
+
+    def _verify_trials(self, moves, periods) -> None:
+        """Re-derive every trial period with the object session."""
+        oracle = self._object_session()
+        for (instance, cell_name), got in zip(moves, periods):
+            want = oracle.trial(instance, cell_name)
+            if got != want and not (math.isnan(got) and math.isnan(want)):
+                raise SessionCheckError(
+                    f"batched trial {instance} -> {cell_name} gives {got} "
+                    f"but the object session gives {want}"
+                )
+
+    def _trialled_state(self, instance: str, cell_name: str):
+        """The move's row of the last trial batch, or None."""
+        if self._last is None:
+            return None
+        moves, state = self._last
+        try:
+            return state.row(moves.index((instance, cell_name)))
+        except ValueError:
+            return None
 
     def commit(self, instance: str, cell_name: str) -> TimingReport:
         """Apply a swap, re-propagate, return the new report."""
@@ -713,15 +809,20 @@ class ArrayTimingSession:
         from repro.sta.array import _ArrayFallback
 
         if self.module.instance(instance).cell_name != cell_name:
-            self._swap(instance, cell_name)
-            try:
-                self._state = self._compiled.propagate(
-                    self._input_slew, self._input_arrival, self._derates
-                )
-            except _ArrayFallback:
-                obs.count("sta.array.fallbacks")
-                self._degrade()
-                return self._delegate.report()
+            state = self._trialled_state(instance, cell_name)
+            self._last = None
+            self._set_cell(instance, cell_name)
+            self._compiled.refresh(self._touched(instance))
+            if state is None:
+                try:
+                    state = self._compiled.propagate(
+                        self._input_slew, self._input_arrival, self._derates
+                    )
+                except _ArrayFallback:
+                    obs.count("sta.array.fallbacks")
+                    self._degrade()
+                    return self._delegate.report()
+            self._state = state
         report = self.report()
         if self._check:
             self._verify_against_full()
@@ -735,7 +836,7 @@ class ArrayTimingSession:
         """Binding minimum period over all endpoints (cheap trial form)."""
         if self._delegate is not None:
             return self._delegate.min_period_ps()
-        return self._min_period_of(self._state)
+        return self._min_periods_of(self._state)[0]
 
     def report(self) -> TimingReport:
         """Full :class:`TimingReport` from the session's cached state."""

@@ -11,12 +11,14 @@ over library drive strengths:
 3. commit the swap with the best delay gain per added area;
 4. repeat until timing is met, no move helps, or the budget runs out.
 
-All timing here runs through an incremental
-:class:`~repro.par.session.TimingSession`: one full propagation when the
-loop starts, then per-trial and per-commit re-propagation of only the
-changed cell's cone.  A committed move's report comes straight out of
-the session -- the accepted trial result is reused instead of re-running
-a full ``analyze()`` on the netlist the inner loop just evaluated.
+All timing here runs through a timing session
+(:class:`~repro.par.session.ArrayTimingSession` by default): one
+compile and propagation when the loop starts, then one multi-row
+propagation per move that evaluates every candidate of step 2 as its
+own batch row.  A committed move's state and report come straight out
+of the session -- the accepted trial's row is reused instead of
+re-running a full analysis on the netlist the inner loop just
+evaluated.
 
 Section 6.2: "After layout, transistors can be resized accounting for the
 drive strengths required to send signals across the circuit ... can make
@@ -106,6 +108,7 @@ def size_for_speed(
     max_moves: int = 500,
     area_limit: float = 3.0,
     use_array: bool = True,
+    check_array: bool = False,
 ) -> SizingResult:
     """Greedy sensitivity sizing; mutates ``module`` in place.
 
@@ -120,6 +123,9 @@ def size_for_speed(
         area_limit: stop when area grows beyond this multiple.
         use_array: run trials on the compiled array session (identical
             results; the object session remains the oracle).
+        check_array: verify the session against the object engine: every
+            commit against a full analysis and, on the array session,
+            every trial against :meth:`TimingSession.trial`.
 
     Raises:
         SizingError: on invalid budgets.
@@ -129,7 +135,8 @@ def size_for_speed(
     with obs.span("sizing.tilos", budget=max_moves) as sp:
         area_before = total_area_um2(module, library)
         session_cls = ArrayTimingSession if use_array else TimingSession
-        session = session_cls(module, library, clock, wire=wire)
+        session = session_cls(module, library, clock, wire=wire,
+                              check=check_array)
         report = session.report()
         initial_period = report.min_period_ps
         area_now = area_before
@@ -170,38 +177,48 @@ def size_for_speed(
 
 
 def _best_move(
-    session: TimingSession,
+    session: TimingSession | ArrayTimingSession,
     library: CellLibrary,
     report: TimingReport,
 ) -> tuple[str, str, float] | None:
     """Trial upsizing each critical-path gate; best (inst, cell, area).
 
     Sensitivity is delay improvement per unit added area; moves that do
-    not improve the period are rejected.  Each trial is an incremental
-    cone re-propagation that the session rolls back afterwards.
+    not improve the period are rejected.  All candidates are trialled
+    in one session call (one batched propagation on the array session),
+    then chosen in critical-path order.
     """
     base_period = report.min_period_ps
-    best: tuple[float, str, str, float] | None = None
+    moves: list[tuple[str, str]] = []
+    areas: list[float] = []
     seen: set[str] = set()
     for step in report.critical_path:
         if step.instance in seen:
             continue
         seen.add(step.instance)
         old_cell = session.module.instance(step.instance).cell_name
+        # In path order: a continuous factory registers cells as it goes.
         candidate = _next_drive_cell(library, old_cell)
         if candidate is None:
             continue
-        added_area = (
+        moves.append((step.instance, candidate))
+        areas.append(
             library.get(candidate).area_um2 - library.get(old_cell).area_um2
         )
-        obs.count("sizing.tilos.trials")
-        trial_period = session.trial(step.instance, candidate)
+    if not moves:
+        return None
+    obs.count("sizing.tilos.trials", len(moves))
+    periods = session.trial(moves)
+    best: tuple[float, str, str, float] | None = None
+    for (instance, candidate), added_area, trial_period in zip(
+        moves, areas, periods
+    ):
         gain = base_period - trial_period
         if gain <= 1e-9:
             continue
         sensitivity = gain / max(added_area, 1e-9)
         if best is None or sensitivity > best[0]:
-            best = (sensitivity, step.instance, candidate, added_area)
+            best = (sensitivity, instance, candidate, added_area)
     if best is None:
         return None
     return best[1], best[2], best[3]
@@ -221,8 +238,10 @@ def downsize_off_critical(
     to meet speed requirements".  Every gate is trial-downsized to the
     next weaker variant and the change is kept if the minimum period does
     not degrade (beyond the margin).  Returns the number of gates shrunk.
+    Each trial depends on the commits before it, so trials run one at a
+    time.
     """
-    session = TimingSession(module, library, clock, wire=wire)
+    session = ArrayTimingSession(module, library, clock, wire=wire)
     budget = session.min_period_ps() + slack_margin_ps
     shrunk = 0
     for inst_name in sorted(module.instances):

@@ -34,6 +34,11 @@ the first-max tie-break of the object engine is reproduced by taking the
 minimum arc index among equality matches -- so arrivals, slews *and* the
 critical-path trace are bitwise equal to ``analyze()``.
 
+Batch rows share the compiled structure, and each row may also replace
+the coefficients of a few arcs (``propagate(..., rows)`` with
+:meth:`CompiledTiming.capture` overrides).  A sizing session evaluates
+all trial swaps of one move this way, as the rows of one sweep.
+
 Oracle fallback
 ---------------
 
@@ -49,6 +54,7 @@ same belt-and-braces pattern as ``TimingSession(check=True)``.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,6 +95,41 @@ def _kind_of(arc) -> int:
     return 2
 
 
+def _widen(tables, width: int) -> list[np.ndarray]:
+    """Pad captured table rows to ``width`` points, as ``_grow_tables``
+    pads the compiled ones (an inf axis point is never bracketed).
+
+    ``tables`` are in :meth:`CompiledTiming._tables` order.
+    """
+    out = []
+    for i, t in enumerate(tables):
+        if t.ndim == 2 and t.shape[1] < width:
+            t = np.pad(t, ((0, 0), (0, width - t.shape[1])),
+                       constant_values=np.inf if i == 5 else 0.0)
+        out.append(t)
+    return out
+
+
+class ArcCoefficients(NamedTuple):
+    """Captured coefficients of some arcs (:meth:`CompiledTiming.capture`).
+
+    ``bad`` is True when an owning instance needs the object engine.
+    The remaining fields are rows of the compiled coefficient arrays,
+    in :meth:`CompiledTiming._tables` order.
+    """
+
+    arcs: np.ndarray
+    bad: bool
+    kind: np.ndarray
+    k_const: np.ndarray
+    k_sens: np.ndarray
+    k_outslew: np.ndarray
+    tab_n: np.ndarray
+    tab_axis: np.ndarray
+    tab_delay: np.ndarray
+    tab_slew: np.ndarray
+
+
 class CompiledTiming:
     """A timing graph compiled to levelized arrays.
 
@@ -98,7 +139,9 @@ class CompiledTiming:
     delegate to the object engine for the exact error.  Structure is
     immutable; coefficients can be re-derived for individual instances
     after a cell swap with :meth:`refresh` (what array sizing sessions
-    do between trials).
+    do on a commit), or captured as one batch row's override without
+    changing the compiled arrays with :meth:`capture` (what they do for
+    each trial).
     """
 
     def __init__(
@@ -230,6 +273,9 @@ class CompiledTiming:
         self._out_net = np.asarray(out_net, dtype=np.int64)
         self._out_owner = np.asarray(out_owner, dtype=np.int64)
         self._slot_of = {n: i for i, n in enumerate(self._inst_names)}
+        self._arc_ids = np.arange(len(arc_src))
+        self._level_a0 = np.asarray([lv["a0"] for lv in levels],
+                                    dtype=np.int64)
         for lv in levels:
             lv["src"] = self._arc_src[lv["a0"]:lv["a1"]]
             lv["wire"] = self._arc_wire[lv["a0"]:lv["a1"]]
@@ -244,7 +290,6 @@ class CompiledTiming:
         self._k_const = np.full(n_arcs, np.nan)
         self._k_sens = np.full(n_arcs, np.nan)
         self._k_outslew = np.full(n_arcs, np.nan)
-        self._inst_load = np.full(len(self._inst_names), np.nan)
         self._slot_bad = np.zeros(len(self._inst_names), dtype=bool)
         self._tab_p = 0
         self._tab_n = np.zeros(n_arcs, dtype=np.int64)
@@ -273,7 +318,6 @@ class CompiledTiming:
         inst = self.module.instance(name)
         cell = self.graph.cell_of(name)
         load = self.graph.instance_load_ff(name)
-        self._inst_load[slot] = load
         bad = not (math.isfinite(load) and load >= 0.0)
         a = int(self._inst_seg[slot])
         for pin in inst.inputs:
@@ -284,6 +328,12 @@ class CompiledTiming:
                 return
             kind = _kind_of(arc)
             self._kind[a] = kind
+            if kind != 0:
+                # The level sweep evaluates the linear form on every arc
+                # and overwrites the table arcs, so a non-linear arc's
+                # linear coefficients must never look valid.
+                self._k_const[a] = self._k_sens[a] = np.nan
+                self._k_outslew[a] = np.nan
             if kind == 0:
                 # Same grouping as LinearDelayArc.delay_ps: the load
                 # term folds into the constant, the slew term stays.
@@ -340,6 +390,69 @@ class CompiledTiming:
             if slot is not None:
                 self._refresh_slot(slot)
 
+    def _tables(self) -> list[np.ndarray]:
+        """The per-arc coefficient arrays, in :class:`ArcCoefficients`
+        field order."""
+        return [
+            self._kind, self._k_const, self._k_sens, self._k_outslew,
+            self._tab_n, self._tab_axis, self._tab_delay, self._tab_slew,
+        ]
+
+    def capture(self, instance_names) -> ArcCoefficients:
+        """Coefficients of these instances' arcs under the module's
+        current cells, leaving the compiled coefficients unchanged.
+
+        Called while a move's swap is in the module (after
+        ``graph.rebind``), this is that move's batch-row override for
+        :meth:`propagate`.  Pass the swapped instance and the drivers of
+        its input nets; names without a combinational slot are ignored.
+        """
+        slots = [self._slot_of[n] for n in instance_names
+                 if n in self._slot_of]
+        arcs = np.concatenate([
+            self._arc_ids[self._inst_seg[s]:
+                          self._inst_seg[s] + self._inst_narcs[s]]
+            for s in slots
+        ]) if slots else self._arc_ids[:0]
+        saved = [t[arcs] for t in self._tables()]
+        saved_bad = self._slot_bad[slots]
+        for slot in slots:
+            self._refresh_slot(slot)
+        tables = self._tables()
+        got = ArcCoefficients(arcs, bool(self._slot_bad[slots].any()),
+                              *(t[arcs] for t in tables))
+        for t, old in zip(tables, _widen(saved, self._tab_p)):
+            t[arcs] = old
+        self._slot_bad[slots] = saved_bad
+        return got
+
+    def _select(self, b: int, rows) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Per-row arc -> coefficient-slot index plus the slot tables.
+
+        Slot ``i < n_arcs`` is arc ``i``'s compiled coefficients; each
+        override in ``rows`` appends its arcs' slots after those, and
+        only its own row selects them.
+        """
+        tables = self._tables()
+        n_arcs = self._arc_ids.size
+        if rows is None or all(r is None for r in rows):
+            return np.broadcast_to(self._arc_ids, (b, n_arcs)), tables
+        if len(rows) != b:
+            raise ValueError(f"{len(rows)} override rows for {b} derates")
+        sel = np.tile(self._arc_ids, (b, 1))
+        parts: list[list[np.ndarray]] = [[t] for t in tables]
+        end = n_arcs
+        for r, over in enumerate(rows):
+            if over is None:
+                continue
+            if over.bad:
+                raise _ArrayFallback("a trial row needs the object engine")
+            sel[r, over.arcs] = np.arange(end, end + over.arcs.size)
+            end += over.arcs.size
+            for part, value in zip(parts, _widen(over[2:], self._tab_p)):
+                part.append(value)
+        return sel, [np.concatenate(p) for p in parts]
+
     # ------------------------------------------------------------------
     # Propagation
     # ------------------------------------------------------------------
@@ -349,8 +462,16 @@ class CompiledTiming:
         input_slew_ps: float,
         input_arrival_ps: float,
         derates: np.ndarray,
+        rows=None,
     ) -> "ArrayState":
         """Batched level-sweep propagation; one batch row per derate.
+
+        ``rows`` optionally gives batch row ``r`` its own coefficients:
+        ``rows[r]`` is None (the compiled coefficients) or an
+        :class:`ArcCoefficients` from :meth:`capture` that replaces the
+        coefficients of its arcs in that row only.  Every row keeps the
+        scalar engine's operation order, so it is bitwise equal to a
+        single-row propagation of the same coefficients.
 
         Raises:
             _ArrayFallback: when exact equivalence with the object
@@ -363,9 +484,11 @@ class CompiledTiming:
             raise _ArrayFallback(f"instance {which!r} needs the object engine")
         if not (math.isfinite(input_slew_ps) and input_slew_ps >= 0.0):
             raise _ArrayFallback(f"input slew {input_slew_ps}")
-        obs.count("sta.array.propagate.calls")
         derates = np.asarray(derates, dtype=np.float64)
         b = derates.shape[0]
+        sel, (kind, k_const, k_sens, k_outslew, tab_n, tab_axis, tab_delay,
+              tab_slew) = self._select(b, rows)
+        obs.count("sta.array.propagate.calls")
         n = self._n_nets
         arr = np.full((b, n), np.nan)
         marr = np.full((b, n), np.nan)
@@ -379,40 +502,40 @@ class CompiledTiming:
             arr[:, self._reg_ids] = launch
             marr[:, self._reg_ids] = launch
         acc = np.zeros(b)
-        cols_cache = np.arange(self._kind.shape[0])
-        for lv in self._levels:
+        row_ids = np.arange(b)[:, None]
+        kc = k_const[sel]
+        ks = k_sens[sel]
+        ko = k_outslew[sel]
+        is_nld = kind[sel] == 1
+        level_nld = (
+            np.logical_or.reduceat(is_nld.any(axis=0), self._level_a0)
+            .tolist() if self._levels else []
+        )
+        for lv, any_nld in zip(self._levels, level_nld):
             a0, a1 = lv["a0"], lv["a1"]
             k = a1 - a0
             src = lv["src"]
             sl_in = slw[:, src]
-            delay = np.empty((b, k))
-            outsl = np.empty((b, k))
-            kind = self._kind[a0:a1]
-            lin = np.nonzero(kind == 0)[0]
-            if lin.size:
-                delay[:, lin] = (
-                    self._k_const[a0 + lin][None, :]
-                    + self._k_sens[a0 + lin][None, :] * sl_in[:, lin]
-                )
-                outsl[:, lin] = np.broadcast_to(
-                    self._k_outslew[a0 + lin][None, :], (b, lin.size)
-                )
-            nld = np.nonzero(kind == 1)[0]
-            if nld.size:
-                g = a0 + nld
-                ax = self._tab_axis[g]
-                nn = self._tab_n[g]
-                x = sl_in[:, nld]
-                hi = (ax[None, :, :] < x[:, :, None]).sum(axis=2)
-                hi = np.clip(hi, 1, (nn - 1)[None, :])
+            # The linear form on every arc (NaN on table arcs, which the
+            # table evaluation below overwrites).
+            delay = kc[:, a0:a1] + ks[:, a0:a1] * sl_in
+            outsl = ko[:, a0:a1]
+            if any_nld:
+                m = is_nld[:, a0:a1]
+                g = sel[:, a0:a1][m]
+                ax = tab_axis[g]
+                x = sl_in[m]
+                hi = (ax < x[:, None]).sum(axis=1)
+                hi = np.clip(hi, 1, tab_n[g] - 1)
                 lo = hi - 1
-                c = np.arange(nld.size)[None, :]
+                c = np.arange(g.size)
                 alo = ax[c, lo]
                 t = (x - alo) / (ax[c, hi] - alo)
-                dt = self._tab_delay[g]
-                st = self._tab_slew[g]
-                delay[:, nld] = dt[c, lo] * (1 - t) + dt[c, hi] * t
-                outsl[:, nld] = st[c, lo] * (1 - t) + st[c, hi] * t
+                dt = tab_delay[g]
+                st = tab_slew[g]
+                delay[m] = dt[c, lo] * (1 - t) + dt[c, hi] * t
+                outsl = outsl.copy()
+                outsl[m] = st[c, lo] * (1 - t) + st[c, hi] * t
             delay *= derates[:, None]
             w = lv["wire"][None, :] * derates[:, None]
             at = (arr[:, src] + w) + delay
@@ -423,12 +546,12 @@ class CompiledTiming:
             mn = np.minimum.reduceat(mat, segs, axis=1)
             cand = np.where(
                 at == np.repeat(mx, lv["counts"], axis=1),
-                cols_cache[:k][None, :],
+                self._arc_ids[:k][None, :],
                 k,
             )
             firsts = np.minimum.reduceat(cand, segs, axis=1)
             np.minimum(firsts, k - 1, out=firsts)
-            bslew = np.take_along_axis(outsl, firsts, axis=1)
+            bslew = outsl[row_ids, firsts]
             onet, owner = lv["onet"], lv["owner"]
             arr[:, onet] = mx[:, owner]
             marr[:, onet] = mn[:, owner]
@@ -468,6 +591,16 @@ class ArrayState:
 
     def batch_size(self) -> int:
         return int(self.derates.shape[0])
+
+    def row(self, r: int) -> "ArrayState":
+        """Batch row ``r`` as a batch of one (copied, so the batch can
+        be freed)."""
+        sl = slice(r, r + 1)
+        return ArrayState(
+            self.compiled, self.arr[sl].copy(), self.marr[sl].copy(),
+            self.slw[sl].copy(), self.best[sl].copy(),
+            self.derates[sl].copy(), self._input_slew, self._input_arrival,
+        )
 
     def _as_dicts(self, row: int) -> tuple[dict, dict, dict, dict, dict]:
         got = self._dicts.get(row)

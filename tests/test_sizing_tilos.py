@@ -5,6 +5,7 @@ import pytest
 from repro.cells import custom_library, poor_asic_library, rich_asic_library
 from repro.datapath import kogge_stone_adder, ripple_carry_adder
 from repro.netlist import Module
+from repro.par import TimingSession
 from repro.sizing import (
     SizingError,
     buffer_high_fanout,
@@ -87,6 +88,28 @@ class TestTilos:
         before = total_area_um2(module, RICH)
         downsize_off_critical(module, RICH, CLK)
         assert total_area_um2(module, RICH) < before
+
+    def test_downsize_matches_object_session_loop(self):
+        # Reference: the same greedy loop on the object TimingSession.
+        design = kogge_stone_adder(8, RICH)
+        module = design.clone()
+        shrunk = downsize_off_critical(module, RICH, CLK)
+        reference = design.clone()
+        session = TimingSession(reference, RICH, CLK)
+        budget = session.min_period_ps()
+        expected = 0
+        for name in sorted(reference.instances):
+            cell = RICH.get(reference.instance(name).cell_name)
+            weaker = [c for c in RICH.drives_of(cell.base_name)
+                      if c.drive < cell.drive]
+            if cell.is_sequential or not weaker:
+                continue
+            if session.trial(name, weaker[-1].name) <= budget + 1e-9:
+                session.commit(name, weaker[-1].name)
+                expected += 1
+        assert shrunk == expected > 0
+        assert ({i.name: i.cell_name for i in module.iter_instances()}
+                == {i.name: i.cell_name for i in reference.iter_instances()})
 
 
 class TestDiscretization:
