@@ -592,8 +592,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     The quick performance smoke test: one Monte Carlo sweep through
     ``repro.par.sweep`` at the requested worker count, one ASIC flow
-    whose sizing stage runs on the incremental ``TimingSession``, then
-    the memo-cache hit rates.  CI runs it with ``--workers 2`` so the
+    whose sizing stage runs on the incremental ``ArrayTimingSession``,
+    then the memo-cache hit rates.  CI runs it with ``--workers 2`` so the
     process-pool path is exercised on every push.
     """
     import time
@@ -1177,9 +1177,6 @@ def build_parser() -> argparse.ArgumentParser:
     flow.add_argument("--until", metavar="STAGE", default=None,
                       help="stop after this stage and print the stage "
                            "records (checkpointable partial run)")
-    flow.add_argument("--no-array", action="store_true",
-                      help="run STA stages on the object engine instead "
-                           "of the vectorized array engine")
     flow.add_argument("--check-array", action="store_true",
                       help="cross-check every array STA result against "
                            "the object engine (slow)")

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 #: point.  They are excluded from fingerprints: a run interrupted by an
 #: injected fault must still be resumable with the fault disarmed, and a
 #: keep_going re-run of a raise-mode flow shares its cached stages.
-#: The array-engine switches are policy too: vectorized and object STA
-#: are proven equivalent, so toggling them must not invalidate caches.
-POLICY_FIELDS = ("on_error", "fault", "use_array", "check_array")
+#: The array-engine check switch is policy too: it re-derives results
+#: the array engine already guarantees, so it must not invalidate caches.
+POLICY_FIELDS = ("on_error", "fault", "check_array")
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,10 @@ class FlowOptions:
             diagnostics and degrades gracefully.
         fault: chaos hook -- name of a stage at which to trip an
             injected fault (testing/selftest only; None = off).
-        use_array: run STA stages on the vectorized array engine
-            (``--no-array`` turns this off; the object engine is the
-            oracle either way).
-        check_array: cross-check every array analysis against the
-            object engine (slow; CI smoke and debugging).
+        check_array: cross-check every array analysis, sizing trial
+            and commit against the object engine
+            (:func:`repro.sta.engine.analyze`; slow, for CI smoke and
+            debugging).
     """
 
     workload: str = "alu"
@@ -55,7 +54,6 @@ class FlowOptions:
     seed: int = 1
     on_error: str = "raise"
     fault: str | None = None
-    use_array: bool = True
     check_array: bool = False
 
 

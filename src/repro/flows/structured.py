@@ -139,7 +139,7 @@ def _stage_size(ctx: FlowContext) -> None:
         sizing = guarded_size_for_speed(
             ctx["module"], ctx["library"], ctx["clock"],
             wire=ctx.get("wire"), max_moves=options.sizing_moves,
-            use_array=options.use_array, check_array=options.check_array,
+            check_array=options.check_array,
         )
         ctx.notes["sizing_moves"] = float(sizing.moves)
         ctx.notes["sizing_speedup"] = sizing.speedup
@@ -150,7 +150,6 @@ def _stage_size(ctx: FlowContext) -> None:
 def _stage_sta(ctx: FlowContext) -> None:
     timing = guarded_solve_min_period(
         ctx["module"], ctx["library"], ctx["clock"], wire=ctx.get("wire"),
-        use_array=ctx.options.use_array,
         check_array=ctx.options.check_array,
     )
     ctx["timing"] = timing
@@ -304,7 +303,6 @@ def _cli_options(args, on_error: str) -> StructuredFlowOptions:
         seed=args.seed,
         on_error=on_error,
         fault=args.inject_fault,
-        use_array=not args.no_array,
         check_array=args.check_array,
     )
 

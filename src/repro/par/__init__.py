@@ -5,9 +5,9 @@ Three pieces:
 * :mod:`repro.par.memo` -- process-wide memoization of timing-arc and
   closed-form sizing evaluations, with hit/miss counters surfaced
   through :mod:`repro.obs`.
-* :mod:`repro.par.session` -- :class:`TimingSession`, incremental STA
-  over sizing moves: one full propagation up front, then per-move
-  re-propagation of only the changed cell's output cone.
+* :mod:`repro.par.session` -- ``ArrayTimingSession``, incremental STA
+  over sizing moves: one compiled propagation up front, then each
+  move's trials as the rows of one batched propagation.
 * :mod:`repro.par.sweep` -- deterministic process-pool fan-out for
   Monte Carlo sampling and design-space surveys (per-task seeds,
   ordered reduce, trace propagation back to the parent).
@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import importlib
 
-__all__ = ["memo", "session", "sweep", "TimingSession", "run_sweep", "task_seeds"]
+__all__ = ["memo", "session", "sweep", "run_sweep", "task_seeds"]
 
 _LAZY_ATTRS = {
     "memo": ("repro.par.memo", None),
     "session": ("repro.par.session", None),
     "sweep": ("repro.par.sweep", None),
-    "TimingSession": ("repro.par.session", "TimingSession"),
     "run_sweep": ("repro.par.sweep", "run_sweep"),
     "task_seeds": ("repro.par.sweep", "task_seeds"),
 }

@@ -12,10 +12,9 @@ over library drive strengths:
 4. repeat until timing is met, no move helps, or the budget runs out.
 
 All timing here runs through a timing session
-(:class:`~repro.par.session.ArrayTimingSession` by default): one
-compile and propagation when the loop starts, then one multi-row
-propagation per move that evaluates every candidate of step 2 as its
-own batch row.  A committed move's state and report come straight out
+(:class:`~repro.par.session.ArrayTimingSession`): one compile and
+propagation when the loop starts, then one multi-row propagation per
+move that evaluates every candidate of step 2 as its own batch row.  A committed move's state and report come straight out
 of the session -- the accepted trial's row is reused instead of
 re-running a full analysis on the netlist the inner loop just
 evaluated.
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 from repro import obs
 from repro.cells.library import CellLibrary
 from repro.netlist.module import Module
-from repro.par.session import ArrayTimingSession, TimingSession
+from repro.par.session import ArrayTimingSession
 from repro.sizing.logical_effort import SizingError
 from repro.sta.clocking import Clock
 from repro.sta.engine import TimingReport
@@ -107,7 +106,6 @@ def size_for_speed(
     target_period_ps: float | None = None,
     max_moves: int = 500,
     area_limit: float = 3.0,
-    use_array: bool = True,
     check_array: bool = False,
 ) -> SizingResult:
     """Greedy sensitivity sizing; mutates ``module`` in place.
@@ -121,11 +119,9 @@ def size_for_speed(
             until no move helps).
         max_moves: upper bound on accepted changes.
         area_limit: stop when area grows beyond this multiple.
-        use_array: run trials on the compiled array session (identical
-            results; the object session remains the oracle).
         check_array: verify the session against the object engine: every
-            commit against a full analysis and, on the array session,
-            every trial against :meth:`TimingSession.trial`.
+            commit and every trial against a full
+            :func:`~repro.sta.engine.analyze` of the swapped netlist.
 
     Raises:
         SizingError: on invalid budgets.
@@ -134,9 +130,8 @@ def size_for_speed(
         raise SizingError("invalid sizing budget")
     with obs.span("sizing.tilos", budget=max_moves) as sp:
         area_before = total_area_um2(module, library)
-        session_cls = ArrayTimingSession if use_array else TimingSession
-        session = session_cls(module, library, clock, wire=wire,
-                              check=check_array)
+        session = ArrayTimingSession(module, library, clock, wire=wire,
+                                     check=check_array)
         report = session.report()
         initial_period = report.min_period_ps
         area_now = area_before
@@ -177,7 +172,7 @@ def size_for_speed(
 
 
 def _best_move(
-    session: TimingSession | ArrayTimingSession,
+    session: ArrayTimingSession,
     library: CellLibrary,
     report: TimingReport,
 ) -> tuple[str, str, float] | None:
@@ -185,8 +180,8 @@ def _best_move(
 
     Sensitivity is delay improvement per unit added area; moves that do
     not improve the period are rejected.  All candidates are trialled
-    in one session call (one batched propagation on the array session),
-    then chosen in critical-path order.
+    in one session call (one batched propagation), then chosen in
+    critical-path order.
     """
     base_period = report.min_period_ps
     moves: list[tuple[str, str]] = []

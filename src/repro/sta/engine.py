@@ -293,25 +293,18 @@ def build_report(
     launch_q: dict[str, float],
     delay_derate: float = 1.0,
     finite_guard: bool = True,
-    endpoint_list: list[tuple[str, object]] | None = None,
 ) -> TimingReport:
     """Assemble a :class:`TimingReport` from propagated arrivals.
 
-    Shared by :func:`analyze` and the incremental
-    :class:`repro.par.session.TimingSession`, so both produce reports
+    Shared by :func:`analyze` and the array engine
+    (:meth:`repro.sta.array.ArrayState.report`), so both produce reports
     through the same endpoint accounting, sort order and path walk.
-
-    Args:
-        endpoint_list: pre-computed ``graph.endpoints()`` (sessions cache
-            it across moves); None recomputes it.
     """
     module = graph.module
     endpoints: list[EndpointTiming] = []
     end_trace_net: dict[str, str] = {}
     hold_violations: list[HoldViolation] = []
-    if endpoint_list is None:
-        endpoint_list = graph.endpoints()
-    for kind, detail in endpoint_list:
+    for kind, detail in graph.endpoints():
         if kind == "port":
             net = str(detail)
             if net not in arrival:
@@ -398,7 +391,6 @@ def solve_min_period(
     wire: WireParasitics | None = None,
     tolerance_ps: float = 0.1,
     max_iterations: int = 30,
-    use_array: bool = True,
     check_array: bool = False,
     **analyze_kwargs,
 ) -> TimingReport:
@@ -414,12 +406,12 @@ def solve_min_period(
     converges geometrically because the logic delay does not depend on
     the period.
 
-    ``use_array=True`` (the default) runs the iteration over the
-    vectorized engine (:mod:`repro.sta.array`): arrival propagation is
-    clock-independent, so the fixed point costs one compile+propagate
-    plus a report per step, bitwise equal to the object engine.
-    ``check_array=True`` additionally verifies every step against the
-    object engine.
+    The iteration runs over the vectorized engine
+    (:mod:`repro.sta.array`): arrival propagation is clock-independent,
+    so the fixed point costs one compile+propagate plus a report per
+    step, bitwise equal to :func:`analyze` (which it falls back to for
+    designs the array engine cannot reproduce).  ``check_array=True``
+    additionally verifies every step against :func:`analyze`.
 
     Raises:
         TimingError: if the constraint cannot close (overheads consume
@@ -431,15 +423,11 @@ def solve_min_period(
         raise TimingError("tolerance must be positive and iterations >= 0")
     profiling = obs.enabled()
     start_s = obs.MONOTONIC() if profiling else 0.0
-    if use_array:
-        from repro.sta.array import clock_analyzer
+    from repro.sta.array import clock_analyzer
 
-        run = clock_analyzer(
-            module, library, wire=wire, check=check_array, **analyze_kwargs
-        )
-    else:
-        def run(clk: Clock) -> TimingReport:
-            return analyze(module, library, clk, wire=wire, **analyze_kwargs)
+    run = clock_analyzer(
+        module, library, wire=wire, check=check_array, **analyze_kwargs
+    )
     current = clock
     report = run(current)
     iterations = 1

@@ -98,42 +98,30 @@ def evaluate_corners(
     clock,
     corners: dict[CornerType, ProcessCorner] | None = None,
     wire=None,
-    use_array: bool = True,
     **analyze_kwargs,
 ):
     """Timing reports across a corner set, one per corner.
 
-    Runs the analysis at every corner's ``delay_derate``.  With
-    ``use_array`` (the default) all corners share a single compiled
-    timing graph and one batched propagation; the object engine runs
-    each corner separately and serves as the exact oracle
-    (``use_array=False``).
+    Runs the analysis at every corner's ``delay_derate``.  All corners
+    share a single compiled timing graph and one batched propagation,
+    each row bitwise equal to :func:`repro.sta.engine.analyze` at that
+    derate.
 
     Returns:
         dict mapping each :class:`CornerType` to its TimingReport.
     """
     # Imported lazily: tech is a leaf package the sta/ layers import
     # from, so a module-level import would create a cycle.
+    from repro.sta.array import batch_analyze
+
     if corners is None:
         corners = STANDARD_CORNERS
     types = list(corners)
     derates = [corners[t].delay_derate for t in types]
-    if use_array:
-        from repro.sta.array import batch_analyze
 
-        reports = batch_analyze(
-            module, library, clock, derates, wire=wire, **analyze_kwargs
-        )
-    else:
-        from repro.sta.engine import analyze
-
-        reports = [
-            analyze(
-                module, library, clock, wire=wire,
-                delay_derate=d, **analyze_kwargs,
-            )
-            for d in derates
-        ]
+    reports = batch_analyze(
+        module, library, clock, derates, wire=wire, **analyze_kwargs
+    )
     return dict(zip(types, reports))
 
 

@@ -20,6 +20,7 @@ from repro.flows import (
     FlowError,
     Stage,
     StageGraph,
+    StructuredFlowOptions,
     options_fingerprint,
     run_asic_flow,
     run_custom_flow,
@@ -145,6 +146,18 @@ class TestFingerprints:
         assert options_fingerprint(base) == options_fingerprint(faulted)
         assert (options_fingerprint(base)
                 != options_fingerprint(AsicFlowOptions(bits=5)))
+
+    @pytest.mark.parametrize("options,fingerprint", [
+        (AsicFlowOptions(), "441bc55f6cc16d77"),
+        (StructuredFlowOptions(), "ea506fd3b84cae83"),
+        (CustomFlowOptions(), "24e378655629edb8"),
+    ])
+    def test_default_options_fingerprints_are_pinned(self, options,
+                                                     fingerprint):
+        # Stage-cache keys, checkpoints and sweep-resume ledger matches
+        # all derive from this digest: it must not move when a policy
+        # field is added or removed.
+        assert options_fingerprint(options) == fingerprint
 
 
 class TestStageCache:

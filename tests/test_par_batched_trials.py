@@ -3,14 +3,12 @@
 A list of moves is evaluated as the rows of one multi-row propagation,
 each row overriding only the coefficients its move touches.  The
 contract is that the batch is indistinguishable from a loop of single
-trials: the same periods bit for bit (on a fresh array session and on
-the object session), the same first error, and no change to the
-session's state or compiled coefficients.  Also pinned: rows the array
-engine rejects fall back to the object engine's exact value or error,
-and the flows' ``use_array`` / ``check_array`` policy reaches sizing.
+trials: the same periods bit for bit (on a fresh array session and as
+``analyze()`` of each swapped netlist), the same first error, and no
+change to the session's state or compiled coefficients.  Also pinned:
+rows the array engine rejects fall back to ``analyze()``'s exact value
+or error, and the flows' ``check_array`` policy reaches sizing.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -21,17 +19,14 @@ from repro.cells.delay import LinearDelayArc
 from repro.datapath import kogge_stone_adder
 from repro.flows import AsicFlowOptions, FlowError, run_asic_flow
 from repro.flows import cache as stage_cache
-from repro.par.session import (
-    ArrayTimingSession,
-    SessionCheckError,
-    TimingSession,
-)
+from repro.par.session import ArrayTimingSession, SessionCheckError
 from repro.robust.guards import disable_guard, enable_all_guards
 from repro.sizing.tilos import _next_drive_cell
-from repro.sta import TimingError, asic_clock, register_boundaries
+from repro.sta import TimingError, analyze, asic_clock, register_boundaries
 from repro.sta.array import CompiledTiming, assert_reports_match
 from repro.synth import map_design, parse_expression
 from repro.tech import CMOS250_ASIC, CMOS250_CUSTOM
+from tests.test_par_session import analyze_swapped, same_period
 from tests.test_sta_array import nldm_library
 
 CLK = asic_clock(10000.0)
@@ -84,10 +79,6 @@ def assert_same_snapshot(before, after):
         np.testing.assert_array_equal(x, y)
 
 
-def same_period(a, b):
-    return a == b or (math.isnan(a) and math.isnan(b))
-
-
 #: One step: (instance picks, candidate picks, index of the move to
 #: commit afterwards or None).  Picks are reduced modulo what exists.
 STEP = st.tuples(
@@ -108,7 +99,6 @@ class TestBatchEqualsSingles:
         # A small instance pool makes repeated instances likely.
         names = combinational(design, library)[:pool * 3:3]
         batched = ArrayTimingSession(design.clone(), library, CLK)
-        oracle = TimingSession(design.clone(), library, CLK)
         for inst_picks, cell_picks, commit_pick in steps:
             moves = []
             for k, pick in enumerate(inst_picks):
@@ -121,11 +111,14 @@ class TestBatchEqualsSingles:
             assert_same_snapshot(before, snapshot(batched))
             fresh = ArrayTimingSession(batched.module.clone(), library, CLK)
             assert got == [fresh.trial(i, c) for i, c in moves]
-            assert got == [oracle.trial(i, c) for i, c in moves]
+            assert got == [
+                analyze_swapped(batched.module, library, CLK, i, c)
+                .min_period_ps for i, c in moves
+            ]
             if commit_pick is not None:
                 inst, cell = moves[commit_pick % len(moves)]
                 committed = batched.commit(inst, cell)
-                expected = oracle.commit(inst, cell)
+                expected = analyze(batched.module, library, CLK)
                 assert_reports_match(committed, expected)
                 assert committed.min_period_ps == expected.min_period_ps
 
@@ -168,23 +161,32 @@ def poisoned_setup():
     return library, module, moves
 
 
-def single_outcomes(session, moves):
-    """Periods of a loop of single trials, or the first error."""
+def single_outcomes(period_of, moves):
+    """Periods of ``period_of(instance, cell)`` over the moves, one at a
+    time, or the first error."""
     periods = []
     for inst, cell in moves:
         try:
-            periods.append(session.trial(inst, cell))
+            periods.append(period_of(inst, cell))
         except TimingError as exc:
             return periods, (type(exc), str(exc))
     return periods, None
+
+
+def analyze_outcomes(module, library, moves):
+    """:func:`single_outcomes` of ``analyze()`` on each swapped netlist."""
+    return single_outcomes(
+        lambda inst, cell: analyze_swapped(
+            module, library, CLK, inst, cell).min_period_ps,
+        moves,
+    )
 
 
 class TestFallbackAndErrors:
     def test_poisoned_row_raises_the_object_engine_error(self):
         library, module, moves = poisoned_setup()
         session = ArrayTimingSession(module.clone(), library, CLK)
-        _, error = single_outcomes(
-            TimingSession(module.clone(), library, CLK), moves)
+        _, error = analyze_outcomes(module, library, moves)
         assert error is not None
         before = snapshot(session)
         with pytest.raises(TimingError) as info:
@@ -198,8 +200,7 @@ class TestFallbackAndErrors:
         try:
             session = ArrayTimingSession(module.clone(), library, CLK)
             got = session.trial(moves)
-            want, error = single_outcomes(
-                TimingSession(module.clone(), library, CLK), moves)
+            want, error = analyze_outcomes(module, library, moves)
             fresh = ArrayTimingSession(module.clone(), library, CLK)
             singles = [fresh.trial(i, c) for i, c in moves]
         finally:
@@ -216,13 +217,17 @@ class TestFallbackAndErrors:
             if library.get(inst.cell_name).is_sequential
         )
         comb_cell = module.instance(moves[0][0]).cell_name
+        _, nan_error = analyze_outcomes(module, library, moves[1:2])
         cases = [
             [moves[0], (dff, comb_cell), moves[3]],   # sequential first
             [moves[1], (dff, comb_cell)],             # NaN row comes first
         ]
-        for case in cases:
+        # A loop of single trials raises the session's sequential guard
+        # first, or analyze()'s error for a NaN row that comes first.
+        for case, first in zip(cases, ("sequential", nan_error[1])):
             _, error = single_outcomes(
-                TimingSession(module.clone(), library, CLK), case)
+                ArrayTimingSession(module.clone(), library, CLK).trial, case)
+            assert first in error[1]
             session = ArrayTimingSession(module.clone(), library, CLK)
             before = snapshot(session)
             with pytest.raises(TimingError) as info:
@@ -248,12 +253,3 @@ class TestFlowPolicyReachesSizing:
             run_asic_flow(AsicFlowOptions(bits=4, sizing_moves=4,
                                           check_array=True))
         assert isinstance(info.value.__cause__, SessionCheckError)
-
-    def test_no_array_sizes_on_the_object_session(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("array session built under use_array=False")
-
-        monkeypatch.setattr(ArrayTimingSession, "__init__", refuse)
-        result = run_asic_flow(AsicFlowOptions(bits=4, sizing_moves=4,
-                                               use_array=False))
-        assert result.notes["sizing_moves"] > 0

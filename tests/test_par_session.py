@@ -1,26 +1,29 @@
 """Incremental STA session tests: equivalence with full analysis.
 
-The load-bearing property: after *any* sequence of sizing moves, a
-:class:`TimingSession`'s cached arrivals/slews/traces and its minimum
-period are exactly what a from-scratch ``analyze()`` of the mutated
-netlist produces.  The randomized tests drive seeded move sequences
-through ``check=True`` sessions (which re-verify after every commit);
-the fault tests confirm the PR 2 finite-arrival guard still fires when
-NaN enters through the incremental propagation path.
+The load-bearing property: after *any* sequence of sizing moves, an
+:class:`ArrayTimingSession`'s report and minimum period are exactly
+what a from-scratch ``analyze()`` of the mutated netlist produces, and
+each trial's period is ``analyze()`` of the netlist with that one move
+swapped in.  The randomized tests drive seeded move sequences through
+``check=True`` sessions (which re-verify every trial and commit); the
+fault tests confirm the finite-arrival guard still fires when NaN
+enters after construction, and that a session the array engine cannot
+run degrades to full analyses with the same results.
 """
 
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.cells import rich_asic_library
 from repro.cells.delay import LinearDelayArc
 from repro.datapath import kogge_stone_adder, ripple_carry_adder
 from repro.netlist.nets import is_port_ref
-from repro.par import TimingSession
-from repro.par.session import SessionCheckError
+from repro.par.session import ArrayTimingSession, SessionCheckError
 from repro.robust.faults import FaultInjector
+from repro.robust.guards import disable_guard, enable_all_guards
 from repro.sta import TimingError, analyze, asic_clock, register_boundaries
 from repro.synth import map_design, parse_expression
 from repro.tech import CMOS250_ASIC
@@ -36,6 +39,18 @@ def fresh_library():
 def mapped(text, library, drive=1.0):
     return map_design({"y": parse_expression(text)}, library,
                       default_drive=drive)
+
+
+def analyze_swapped(module, library, clock, instance, cell_name, **kwargs):
+    """``analyze()`` of a clone of ``module`` with one cell swapped in:
+    the reference every session trial is held to."""
+    clone = module.clone()
+    clone.replace_cell(instance, cell_name)
+    return analyze(clone, library, clock, **kwargs)
+
+
+def same_period(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
 
 
 def resizable_moves(module, library):
@@ -55,8 +70,7 @@ def mover_victim_pair(module, library):
     """An (instance-to-resize, downstream-instance, its-input-pin) triple.
 
     Resizing the mover changes its output arrival, so the victim sits in
-    the re-propagated cone and its input arc is guaranteed to be
-    re-evaluated incrementally.
+    the move's fanout cone and its input arc is on the re-timed path.
     """
     for inst in module.iter_instances():
         if library.get(inst.cell_name).is_sequential:
@@ -84,11 +98,14 @@ class TestEquivalence:
         """Seeded random commits; check=True re-verifies every state."""
         library = fresh_library()
         module = mapped("(a & b & c & d) | (e & f & g & h)", library)
-        session = TimingSession(module, library, CLK, check=True)
+        session = ArrayTimingSession(module, library, CLK, check=True)
         rng = random.Random(seed)
         for _ in range(12):
             moves = resizable_moves(module, library)
             instance, cell_name = rng.choice(moves)
+            assert session.trial(instance, cell_name) == analyze_swapped(
+                module, library, CLK, instance, cell_name
+            ).min_period_ps
             report = session.commit(instance, cell_name)
             full = analyze(module, library, CLK)
             assert report.min_period_ps == full.min_period_ps
@@ -101,7 +118,7 @@ class TestEquivalence:
     def test_datapath_designs_match_full(self, generator, bits):
         library = fresh_library()
         module = generator(bits, library)
-        session = TimingSession(module, library, CLK, check=True)
+        session = ArrayTimingSession(module, library, CLK, check=True)
         rng = random.Random(99)
         for _ in range(6):
             instance, cell_name = rng.choice(
@@ -116,7 +133,7 @@ class TestEquivalence:
         library = fresh_library()
         comb = mapped("(a & b) | (c & d)", library)
         module = register_boundaries(comb, library)
-        session = TimingSession(module, library, CLK, check=True)
+        session = ArrayTimingSession(module, library, CLK, check=True)
         for instance, cell_name in resizable_moves(module, library)[:4]:
             session.commit(instance, cell_name)
         assert session.min_period_ps() == analyze(
@@ -126,9 +143,9 @@ class TestEquivalence:
     def test_check_mode_detects_divergence(self):
         library = fresh_library()
         module = mapped("a & b & c", library)
-        session = TimingSession(module, library, CLK, check=True)
-        net = next(iter(session._arrival))
-        session._arrival[net] += 1.0
+        session = ArrayTimingSession(module, library, CLK, check=True)
+        session._state.arr += 1.0
+        session._state._dicts.clear()  # drop the cached report rows
         with pytest.raises(SessionCheckError):
             session._verify_against_full()
 
@@ -137,12 +154,12 @@ class TestTrials:
     def test_trial_restores_state(self):
         library = fresh_library()
         module = mapped("(a & b) | (c & d)", library)
-        session = TimingSession(module, library, CLK)
+        session = ArrayTimingSession(module, library, CLK, check=True)
         before = session.min_period_ps()
         cells_before = {
             inst.name: inst.cell_name for inst in module.iter_instances()
         }
-        arrivals_before = dict(session._arrival)
+        arrivals_before = session._state.arr.copy()
         changing = [
             (inst, cell) for inst, cell in resizable_moves(module, library)
             if session.trial(inst, cell) != before
@@ -151,7 +168,7 @@ class TestTrials:
         instance, cell_name = changing[0]
         assert session.trial(instance, cell_name) != before
         assert session.min_period_ps() == before
-        assert arrivals_before == session._arrival
+        assert np.array_equal(arrivals_before, session._state.arr)
         assert cells_before == {
             inst.name: inst.cell_name for inst in module.iter_instances()
         }
@@ -159,7 +176,7 @@ class TestTrials:
     def test_trial_matches_commit(self):
         library = fresh_library()
         module = mapped("(a & b) | (c & d)", library)
-        session = TimingSession(module, library, CLK, check=True)
+        session = ArrayTimingSession(module, library, CLK, check=True)
         instance, cell_name = resizable_moves(module, library)[0]
         trial_period = session.trial(instance, cell_name)
         report = session.commit(instance, cell_name)
@@ -168,7 +185,7 @@ class TestTrials:
     def test_noop_commit_keeps_state(self):
         library = fresh_library()
         module = mapped("a & b", library)
-        session = TimingSession(module, library, CLK, check=True)
+        session = ArrayTimingSession(module, library, CLK, check=True)
         inst = next(module.iter_instances())
         report = session.commit(inst.name, inst.cell_name)
         assert report.min_period_ps == session.min_period_ps()
@@ -181,7 +198,7 @@ class TestTrials:
             inst.name for inst in module.iter_instances()
             if library.get(inst.cell_name).is_sequential
         )
-        session = TimingSession(module, library, CLK)
+        session = ArrayTimingSession(module, library, CLK, check=True)
         comb = next(c.name for c in library if not c.is_sequential)
         with pytest.raises(TimingError, match="sequential"):
             session.trial(dff, comb)
@@ -190,25 +207,27 @@ class TestTrials:
         library = fresh_library()
         module = mapped("a & b", library)
         with pytest.raises(TimingError, match="derate"):
-            TimingSession(module, library, CLK, delay_derate=math.inf)
+            ArrayTimingSession(module, library, CLK, delay_derate=math.inf,
+                               check=True)
 
 
 class TestFiniteGuard:
     def test_injected_nan_fails_session_construction(self):
-        """FaultInjector NaN poisoning trips the guard during the
-        session's own (incremental-machinery) full propagation."""
+        """FaultInjector NaN poisoning makes the array engine hand the
+        session to analyze(), whose finite guard trips."""
         library = fresh_library()
         module = mapped("(a & b & c) | (d & e)", library)
         FaultInjector(seed=3).inject_nan(library, module)
         with pytest.raises(TimingError, match="[Nn]on-finite"):
-            TimingSession(module, library, CLK)
+            ArrayTimingSession(module, library, CLK, check=True)
 
     def test_nan_arc_fires_guard_through_incremental_path(self):
         """Poison an arc *after* construction: the next move whose cone
-        re-evaluates it must raise, and the session must roll back."""
+        re-evaluates it must raise (check mode re-derives the trial with
+        analyze()), and the session must roll back."""
         library = fresh_library()
         module = mapped("(a & b & c) | (d & e)", library)
-        session = TimingSession(module, library, CLK)
+        session = ArrayTimingSession(module, library, CLK, check=True)
         before = session.min_period_ps()
         mover, stronger, victim, pin = mover_victim_pair(module, library)
         victim_cell = library.get(module.instance(victim).cell_name)
@@ -226,3 +245,51 @@ class TestFiniteGuard:
         assert session.min_period_ps() == analyze(
             module, library, CLK
         ).min_period_ps
+
+
+class TestDegradedSession:
+    """A design the array engine rejects runs on full analyses."""
+
+    def poisoned(self):
+        library = fresh_library()
+        module = register_boundaries(
+            mapped("(a & b & c) | (d & e) | (f & g)", library), library
+        )
+        FaultInjector(seed=3).inject_nan(library, module)
+        return library, module
+
+    def test_trials_and_commits_equal_analyze(self):
+        library, module = self.poisoned()
+        disable_guard("finite")
+        try:
+            session = ArrayTimingSession(module, library, CLK, check=True)
+            assert session._degraded is not None
+            reference = module.clone()
+            periods = set()
+            for instance, cell_name in resizable_moves(module, library):
+                cells = {i.name: i.cell_name for i in module.iter_instances()}
+                before = session.min_period_ps()
+                got = session.trial(instance, cell_name)
+                want = analyze_swapped(
+                    reference, library, CLK, instance, cell_name
+                ).min_period_ps
+                assert same_period(got, want)
+                periods.add(got)
+                # The trial left the session and the netlist as they were.
+                assert same_period(session.min_period_ps(), before)
+                assert cells == {
+                    i.name: i.cell_name for i in module.iter_instances()
+                }
+            assert len({p for p in periods if math.isfinite(p)}) > 1
+            for instance, cell_name in resizable_moves(module, library)[:3]:
+                report = session.commit(instance, cell_name)
+                reference.replace_cell(instance, cell_name)
+                full = analyze(reference, library, CLK)
+                assert same_period(report.min_period_ps, full.min_period_ps)
+                assert [s.instance for s in report.critical_path] == [
+                    s.instance for s in full.critical_path
+                ]
+                assert same_period(session.min_period_ps(),
+                                   full.min_period_ps)
+        finally:
+            enable_all_guards()

@@ -5,7 +5,6 @@ import pytest
 from repro.cells import custom_library, poor_asic_library, rich_asic_library
 from repro.datapath import kogge_stone_adder, ripple_carry_adder
 from repro.netlist import Module
-from repro.par import TimingSession
 from repro.sizing import (
     SizingError,
     buffer_high_fanout,
@@ -19,6 +18,7 @@ from repro.sizing import (
 from repro.sta import analyze, asic_clock
 from repro.synth import exhaustive_equivalent, map_design, parse_expression
 from repro.tech import CMOS250_ASIC, CMOS250_CUSTOM
+from tests.test_par_session import analyze_swapped
 
 RICH = rich_asic_library(CMOS250_ASIC)
 CLK = asic_clock(20000.0)
@@ -90,13 +90,12 @@ class TestTilos:
         assert total_area_um2(module, RICH) < before
 
     def test_downsize_matches_object_session_loop(self):
-        # Reference: the same greedy loop on the object TimingSession.
+        # Reference: the same greedy loop, each trial a full analyze().
         design = kogge_stone_adder(8, RICH)
         module = design.clone()
         shrunk = downsize_off_critical(module, RICH, CLK)
         reference = design.clone()
-        session = TimingSession(reference, RICH, CLK)
-        budget = session.min_period_ps()
+        budget = analyze(reference, RICH, CLK).min_period_ps
         expected = 0
         for name in sorted(reference.instances):
             cell = RICH.get(reference.instance(name).cell_name)
@@ -104,8 +103,10 @@ class TestTilos:
                       if c.drive < cell.drive]
             if cell.is_sequential or not weaker:
                 continue
-            if session.trial(name, weaker[-1].name) <= budget + 1e-9:
-                session.commit(name, weaker[-1].name)
+            trial = analyze_swapped(reference, RICH, CLK, name,
+                                    weaker[-1].name)
+            if trial.min_period_ps <= budget + 1e-9:
+                reference.replace_cell(name, weaker[-1].name)
                 expected += 1
         assert shrunk == expected > 0
         assert ({i.name: i.cell_name for i in module.iter_instances()}

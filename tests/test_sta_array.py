@@ -29,7 +29,7 @@ from repro.cells import (
 from repro.datapath import kogge_stone_adder, ripple_carry_adder
 from repro.netlist import Module
 from repro.par import memo
-from repro.par.session import ArrayTimingSession, TimingSession
+from repro.par.session import ArrayTimingSession
 from repro.robust.faults import FaultInjector
 from repro.sta import (
     ArrayCheckError,
@@ -49,7 +49,8 @@ from repro.sta.statistical import _gate_delay_stats
 from repro.sta.timing_graph import TimingGraph
 from repro.synth import map_design, parse_expression
 from repro.tech import CMOS250_ASIC, CMOS250_CUSTOM
-from repro.tech.corners import evaluate_corners
+from repro.tech.corners import STANDARD_CORNERS, evaluate_corners
+from tests.test_par_session import analyze_swapped
 
 CLK = asic_clock(10000.0)
 
@@ -146,9 +147,8 @@ class TestArrayEquivalence:
     def test_solve_min_period_array_matches_object(self):
         lib = rich_asic_library(CMOS250_ASIC)
         module = register_boundaries(kogge_stone_adder(8, lib), lib)
-        fast = solve_min_period(module, lib, CLK, use_array=True)
-        slow = solve_min_period(module, lib, CLK, use_array=False)
-        assert fast.min_period_ps == slow.min_period_ps
+        fast = solve_min_period(module, lib, CLK)
+        assert_exact(fast, analyze(module, lib, fast.clock))
         check = solve_min_period(module, lib, CLK, check_array=True)
         assert check.min_period_ps == fast.min_period_ps
 
@@ -185,10 +185,11 @@ class TestBatchedAnalysis:
         lib = rich_asic_library(CMOS250_ASIC)
         module = register_boundaries(ripple_carry_adder(8, lib), lib)
         fast = evaluate_corners(module, lib, CLK)
-        slow = evaluate_corners(module, lib, CLK, use_array=False)
-        assert set(fast) == set(slow)
-        for corner in fast:
-            assert fast[corner].min_period_ps == slow[corner].min_period_ps
+        assert set(fast) == set(STANDARD_CORNERS)
+        for corner, report in fast.items():
+            slow = analyze(module, lib, CLK,
+                           delay_derate=STANDARD_CORNERS[corner].delay_derate)
+            assert_exact(report, slow)
 
 
 class TestBatchedMonteCarlo:
@@ -230,12 +231,11 @@ class TestBatchedMonteCarlo:
 
 
 class TestArraySession:
-    def test_randomized_swap_sequence_matches_object_session(self):
+    def test_randomized_swap_sequence_matches_analyze(self):
         lib = rich_asic_library(CMOS250_ASIC)
         module = register_boundaries(kogge_stone_adder(8, lib), lib)
-        obj = TimingSession(module.clone(), lib, CLK)
         arr = ArrayTimingSession(module.clone(), lib, CLK, check=True)
-        assert obj.min_period_ps() == arr.min_period_ps()
+        assert analyze(module, lib, CLK).min_period_ps == arr.min_period_ps()
         rng = random.Random(42)
         comb = [
             name for name in module.instances
@@ -244,17 +244,18 @@ class TestArraySession:
         drives = ["X1", "X2", "X4"]
         for _ in range(15):
             name = rng.choice(comb)
-            base = lib.get(obj.module.instance(name).cell_name).base_name
+            base = lib.get(arr.module.instance(name).cell_name).base_name
             candidates = [
                 c.name for c in lib.drives_of(base)
             ]
             target = rng.choice(candidates)
-            assert obj.trial(name, target) == arr.trial(name, target)
+            assert arr.trial(name, target) == analyze_swapped(
+                arr.module, lib, CLK, name, target
+            ).min_period_ps
             if rng.random() < 0.5:
-                ro = obj.commit(name, target)
                 ra = arr.commit(name, target)
-                assert ro.min_period_ps == ra.min_period_ps
-        assert_reports_match(arr.report(), obj.report())
+                assert_exact(ra, analyze(arr.module, lib, CLK))
+        assert_reports_match(arr.report(), analyze(arr.module, lib, CLK))
 
     def test_sequential_swap_rejected(self):
         lib = rich_asic_library(CMOS250_ASIC)
@@ -267,7 +268,7 @@ class TestArraySession:
         with pytest.raises(TimingError, match="sequential"):
             session.trial(seq, "INV_X1")
 
-    def test_poisoned_design_degrades_to_object_session(self):
+    def test_poisoned_design_degrades_to_analyze(self):
         lib = rich_asic_library(CMOS250_ASIC)
         module = register_boundaries(ripple_carry_adder(4, lib), lib)
         FaultInjector(3).inject_nan(lib, module)
@@ -276,17 +277,6 @@ class TestArraySession:
 
 
 class TestFlowParity:
-    def test_asic_flow_identical_with_and_without_array(self):
-        from repro.flows import AsicFlowOptions, run_asic_flow
-
-        fast = run_asic_flow(AsicFlowOptions(bits=4, sizing_moves=4))
-        slow = run_asic_flow(
-            AsicFlowOptions(bits=4, sizing_moves=4, use_array=False)
-        )
-        assert fast.min_period_ps == slow.min_period_ps
-        assert fast.typical_frequency_mhz == slow.typical_frequency_mhz
-        assert fast.area_um2 == slow.area_um2
-
     def test_flow_check_array_passes(self):
         from repro.flows import AsicFlowOptions, run_asic_flow
 
@@ -301,9 +291,7 @@ class TestFlowParity:
         from repro.flows.options import options_fingerprint
 
         assert options_fingerprint(AsicFlowOptions()) == \
-            options_fingerprint(
-                AsicFlowOptions(use_array=False, check_array=True)
-            )
+            options_fingerprint(AsicFlowOptions(check_array=True))
 
 
 class TestCheckMode:
