@@ -11,6 +11,11 @@ wall time lands in a module-level collector, and :func:`finalize`
 ``BENCH_paperbench.json`` -- a flat scalar dict of claim pass/fail
 counts plus per-benchmark wall times.  That file is the benchmark
 trajectory the observability layer's metric dumps share a shape with.
+
+Claim counts are kept per :func:`report` table (``claims.<title>.total``
+and ``claims.<title>.ok``) and merged across runs like the wall times,
+so a partial selection refines its own tables; ``claims_total``,
+``claims_ok`` and ``claims_out`` are derived from the merged tables.
 """
 
 from __future__ import annotations
@@ -26,7 +31,10 @@ from dataclasses import dataclass
 BENCH_JSON = "BENCH_paperbench.json"
 
 #: Accumulated state of the current benchmark run.
-_COLLECTED: dict = {"rows": [], "wall_s": {}, "values": {}}
+_COLLECTED: dict = {"rows": [], "claims": {}, "wall_s": {}, "values": {}}
+
+#: Artifact key prefixes carried over from a previous run's artifact.
+_MERGED_PREFIXES = ("bench.", "claims.")
 
 
 @dataclass(frozen=True)
@@ -71,6 +79,9 @@ def row(claim: str, paper: str, value: float, lo: float, hi: float,
 def report(title: str, rows: list[Row]) -> None:
     """Print a claim-vs-measured table (and collect it for finalize)."""
     _COLLECTED["rows"].extend(rows)
+    total, ok = _COLLECTED["claims"].get(title, (0, 0))
+    _COLLECTED["claims"][title] = (total + len(rows),
+                                   ok + sum(1 for r in rows if r.ok))
     print()
     print("=" * 78)
     print(title)
@@ -122,23 +133,32 @@ def record_value(name: str, value: float) -> None:
 
 def summary() -> dict:
     """Flat scalar dict of the run so far (the BENCH_*.json payload)."""
-    rows = _COLLECTED["rows"]
-    ok = sum(1 for r in rows if r.ok)
     flat: dict = {
-        "claims_total": len(rows),
-        "claims_ok": ok,
-        "claims_out": len(rows) - ok,
         "wall_time_s": round(sum(_COLLECTED["wall_s"].values()), 6),
     }
+    for title, (total, ok) in sorted(_COLLECTED["claims"].items()):
+        flat[f"claims.{title}.total"] = total
+        flat[f"claims.{title}.ok"] = ok
     for name in sorted(_COLLECTED["wall_s"]):
         flat[f"bench.{name}.s"] = round(_COLLECTED["wall_s"][name], 6)
     for name in sorted(_COLLECTED["values"]):
         flat[f"bench.{name}"] = round(_COLLECTED["values"][name], 6)
+    return _with_claim_totals(flat)
+
+
+def _with_claim_totals(flat: dict) -> dict:
+    """Set ``claims_total/ok/out`` from the per-table claim entries."""
+    total = sum(value for key, value in flat.items()
+                if key.startswith("claims.") and key.endswith(".total"))
+    ok = sum(value for key, value in flat.items()
+             if key.startswith("claims.") and key.endswith(".ok"))
+    flat.update(claims_total=total, claims_ok=ok, claims_out=total - ok)
     return flat
 
 
-def _prior_wall_times(path: str) -> dict:
-    """Per-benchmark measurements already recorded in the artifact.
+def _prior_entries(path: str) -> dict:
+    """Per-benchmark measurements and per-table claim counts already
+    recorded in the artifact.
 
     A partial benchmark selection (``pytest benchmarks/bench_e8...``)
     should refine its own rows without deleting everyone else's; a
@@ -153,7 +173,7 @@ def _prior_wall_times(path: str) -> dict:
         return {}
     return {
         key: value for key, value in previous.items()
-        if key.startswith("bench.")
+        if key.startswith(_MERGED_PREFIXES)
         and isinstance(value, (int, float))
         and not isinstance(value, bool)
     }
@@ -164,15 +184,16 @@ def finalize(path: str = BENCH_JSON) -> dict | None:
 
     The write is atomic (temp file + ``os.replace`` in the target
     directory), so a crash mid-dump or two concurrent runs can never
-    leave a truncated artifact; and wall times from a previous run are
-    merged in rather than clobbered, with this run's rows winning any
-    collision.
+    leave a truncated artifact; and wall times and claim tables from a
+    previous run are merged in rather than clobbered, with this run's
+    entries winning any collision.
     """
     if not _COLLECTED["rows"] and not _COLLECTED["wall_s"] \
             and not _COLLECTED["values"]:
         return None
-    flat = _prior_wall_times(path)
+    flat = _prior_entries(path)
     flat.update(summary())
+    _with_claim_totals(flat)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(
         prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory

@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass, field
 
 from repro.cells.delay import DelayModelError, LinearDelayArc, NLDMArc
+from repro.numeric import left_sum
 
 #: The timing-arc types a cell may carry.
 TimingArcModel = object  # LinearDelayArc | NLDMArc (kept loose for typing)
@@ -203,7 +204,7 @@ class Cell:
 
     def total_input_cap_ff(self) -> float:
         """Sum of all input pin capacitances."""
-        return sum(pin.cap_ff for pin in self.inputs.values())
+        return left_sum(pin.cap_ff for pin in self.inputs.values())
 
     def arc(self, pin: str) -> object:
         """Timing arc from an input pin to the output."""

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 from repro.core.factors import FactorError, FactorModel
+from repro.numeric import left_sum
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ def overstatement_test(
     missing = [n for n in minor_factors if n not in shares]
     if missing:
         raise FactorError(f"unknown factors {missing}")
-    return sum(shares[name] for name in minor_factors)
+    return left_sum(shares[name] for name in minor_factors)
 
 
 def tornado_table(model: FactorModel | None = None) -> str:

@@ -10,7 +10,9 @@ load-bearing: golden-result tests pin flow outputs bit-for-bit, so the
 order of ``rng`` consumption (one ``propose`` per step, then *at most
 one* ``rng.random()`` -- only for an uphill move) must never change.
 Problems own their move proposal, cost delta and reversal; the annealer
-owns temperature and acceptance.
+owns temperature and acceptance.  It counts its moves and accepted
+moves once per call (``optimize.anneal.moves`` / ``.accepted``), never
+per move.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from __future__ import annotations
 import math
 import random
 from typing import Any, Protocol
+
+from repro import obs
 
 #: A move is whatever the problem's ``propose`` returns; the annealer
 #: only threads it through ``apply``/``revert`` opaquely.
@@ -78,4 +82,6 @@ def anneal(
         else:
             accepted += 1
         temperature *= cooling
+    obs.count("optimize.anneal.moves", steps)
+    obs.count("optimize.anneal.accepted", accepted)
     return accepted

@@ -24,10 +24,12 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
+from repro import obs
 from repro.cells.library import CellLibrary
 from repro.netlist.graph import topological_order
 from repro.netlist.module import Module
 from repro.netlist.nets import is_port_ref
+from repro.numeric import left_sum
 from repro.optimize.anneal import anneal
 from repro.physical.geometry import GeometryError, Point
 from repro.physical.wires import optimal_repeater_plan, optimal_segment_um
@@ -83,7 +85,7 @@ class Placement:
 
     def total_wirelength_um(self) -> float:
         """Sum of estimated routed lengths over all nets."""
-        return sum(self.net_length_um(net) for net in self.module.nets)
+        return left_sum(self.net_length_um(net) for net in self.module.nets)
 
     def parasitics(self, library: CellLibrary) -> WireParasitics:
         """Wire parasitics for the timing engine.
@@ -151,7 +153,7 @@ def place(
     if not instances:
         raise GeometryError(f"module {module.name} has nothing to place")
 
-    total_area = sum(
+    total_area = left_sum(
         library.get(module.instance(i).cell_name).area_um2 for i in instances
     )
     die_area = total_area / utilization
@@ -193,19 +195,27 @@ def place(
 
 
 class NetLengths:
-    """Net-indexed HPWL cost with a per-net length cache.
+    """Net-indexed HPWL cost with a per-net bounding box and length.
 
     The cost object both annealers share, built once per anneal.  It
     holds every placed instance's location (in ``placement.positions``
     order) plus flat ``xs``/``ys`` coordinate lists: the instances
     first, then the fixed port pins.  Each net is an ``itemgetter``
-    over its pin indices into those lists, and its current length is
-    cached, so a move's "before" is a lookup and only its "after" is
-    measured.  Net ids follow sorted net names, so summing a move's
-    nets in id order keeps the PYTHONHASHSEED-independent order every
-    accept/reject decision depends on.  A length is computed exactly as
-    :meth:`Placement.net_length_um` computes it (exact ``max``/``min``,
-    the same detour factor), which stays the oracle.
+    over its pin indices into those lists; its bounding box
+    (``xlo``/``xhi``/``ylo``/``yhi``) and length are cached, so a move's
+    "before" is a lookup and its "after" comes from the updated boxes.
+
+    A moved pin updates a box edge in O(1); the net's pins are
+    rescanned (exact ``min``/``max``) only when the pin's old
+    coordinate sat on an edge and the new one lies inward of it, since
+    only then can that edge shrink to an unknown value.  A box is thus
+    always the exact ``min``/``max`` of its pins, and a length is
+    computed from it by :meth:`Placement.net_length_um`'s expression
+    (same detour factor), which stays the oracle.  Net ids follow
+    sorted net names, so summing a move's nets in id order keeps the
+    PYTHONHASHSEED-independent order every accept/reject decision
+    depends on.  Nets with fewer than two pins never have a length and
+    are left out of ``nets_of``.
     """
 
     def __init__(self, placement: Placement) -> None:
@@ -235,25 +245,61 @@ class NetLengths:
                 if is_port_ref(endpoint):
                     pins.append(port_index[str(endpoint).split(":", 1)[1]])
                 else:
-                    pin = index[endpoint[0]]
-                    pins.append(pin)
+                    pins.append(index[endpoint[0]])
+            if len(pins) < 2:
+                self._pins.append(None)
+                continue
+            self._pins.append(itemgetter(*pins))
+            for pin in pins:
+                if pin < len(self.names):
                     touching[pin].add(net_id)
-            # Nets with fewer than two pins never have a length.
-            self._pins.append(itemgetter(*pins) if len(pins) >= 2 else None)
-        #: Instance index -> ids of the nets it touches.
+        #: Instance index -> ids of the nets (two or more pins) it touches.
         self.nets_of = [frozenset(nets) for nets in touching]
+        #: Net id -> bounding box edges (um); 0.0 for nets with fewer
+        #: than two pins.
+        self.xlo, self.xhi = self._spans(self.xs)
+        self.ylo, self.yhi = self._spans(self.ys)
         #: Net id -> current length (um).
-        self.lengths = [self._measure(pins) for pins in self._pins]
+        self.lengths = [
+            ((x1 - x0) + (y1 - y0)) * self.detour
+            for x0, x1, y0, y1 in zip(self.xlo, self.xhi, self.ylo, self.yhi)
+        ]
+        #: Nets re-measured by moves, and rescans among them (per axis).
+        self.updates = 0
+        self.rescans = 0
         self._undo: list[tuple[int, Point]] = []
-        self._saved: list[tuple[int, float]] = []
+        self._saved: list[tuple[int, float, float, float, float, float]] = []
 
-    def _measure(self, pins: itemgetter | None) -> float:
-        if pins is None:
-            return 0.0
-        xs = pins(self.xs)
-        ys = pins(self.ys)
-        hpwl = (max(xs) - min(xs)) + (max(ys) - min(ys))
-        return hpwl * self.detour
+    def _spans(self, coords: list[float]) -> tuple[list[float], list[float]]:
+        lo: list[float] = []
+        hi: list[float] = []
+        for pins in self._pins:
+            values = pins(coords) if pins is not None else (0.0,)
+            lo.append(min(values))
+            hi.append(max(values))
+        return lo, hi
+
+    def _shift(self, nets: frozenset[int], old: float, new: float,
+               coords: list[float], lo: list[float],
+               hi: list[float]) -> int:
+        """Update one axis of each net's box for a pin moving from
+        ``old`` to ``new`` (``coords`` already holds ``new``); return
+        how many boxes were rescanned."""
+        pins = self._pins
+        rescans = 0
+        for n in nets:
+            low = lo[n]
+            high = hi[n]
+            if (old == low and new > low) or (old == high and new < high):
+                values = pins[n](coords)
+                lo[n] = min(values)
+                hi[n] = max(values)
+                rescans += 1
+            elif new < low:
+                lo[n] = new
+            elif new > high:
+                hi[n] = new
+        return rescans
 
     def _place(self, i: int, point: Point) -> None:
         self.points[i] = point
@@ -264,29 +310,55 @@ class NetLengths:
         """Move instances to new ``(index, location)`` pairs; return the
         change in the summed length of the nets they touch."""
         lengths = self.lengths
-        self._undo = [(i, self.points[i]) for i, _ in moved]
+        xs, ys = self.xs, self.ys
+        xlo, xhi, ylo, yhi = self.xlo, self.xhi, self.ylo, self.yhi
+        nets_of = self.nets_of
         touched: set[int] = set()
-        for i, point in moved:
-            self._place(i, point)
-            touched |= self.nets_of[i]
+        for i, _ in moved:
+            touched |= nets_of[i]
         nets = sorted(touched)
-        before = sum(lengths[n] for n in nets)
-        self._saved = [(n, lengths[n]) for n in nets]
+        self._saved = [(n, lengths[n], xlo[n], xhi[n], ylo[n], yhi[n])
+                       for n in nets]
+        self._undo = [(i, self.points[i]) for i, _ in moved]
+        rescans = 0
+        for i, point in moved:
+            old_x = xs[i]
+            old_y = ys[i]
+            self._place(i, point)
+            if point.x != old_x:
+                rescans += self._shift(nets_of[i], old_x, point.x, xs,
+                                       xlo, xhi)
+            if point.y != old_y:
+                rescans += self._shift(nets_of[i], old_y, point.y, ys,
+                                       ylo, yhi)
+        self.updates += len(nets)
+        self.rescans += rescans
+        before = left_sum(map(lengths.__getitem__, nets))
+        detour = self.detour
         for n in nets:
-            lengths[n] = self._measure(self._pins[n])
-        after = sum(lengths[n] for n in nets)
+            lengths[n] = ((xhi[n] - xlo[n]) + (yhi[n] - ylo[n])) * detour
+        after = left_sum(map(lengths.__getitem__, nets))
         return after - before
 
     def revert(self) -> None:
-        """Undo the last :meth:`move`: locations and saved lengths."""
+        """Undo the last :meth:`move`: locations, boxes and lengths."""
         for i, point in self._undo:
             self._place(i, point)
-        for n, length in self._saved:
-            self.lengths[n] = length
+        lengths = self.lengths
+        xlo, xhi, ylo, yhi = self.xlo, self.xhi, self.ylo, self.yhi
+        for n, length, x0, x1, y0, y1 in self._saved:
+            lengths[n] = length
+            xlo[n] = x0
+            xhi[n] = x1
+            ylo[n] = y0
+            yhi[n] = y1
 
     def write_back(self) -> None:
-        """Store the current locations in ``placement.positions``."""
+        """Store the current locations in ``placement.positions`` and
+        count this anneal's net updates and rescans."""
         self.placement.positions.update(zip(self.names, self.points))
+        obs.count("physical.hpwl.updates", self.updates)
+        obs.count("physical.hpwl.rescans", self.rescans)
 
 
 class _PositionSwaps:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from repro.cells.library import CellLibrary
 from repro.netlist.module import Module
 from repro.netlist.nets import is_port_ref
+from repro.numeric import left_sum
 from repro.physical.geometry import GeometryError
 from repro.physical.placement import Placement
 from repro.sta.timing_graph import WireParasitics
@@ -137,7 +138,7 @@ def compare_to_placement(
     if not ratios:
         raise GeometryError("no comparable nets")
     return WlmAccuracy(
-        mean_ratio=sum(ratios) / len(ratios),
+        mean_ratio=left_sum(ratios) / len(ratios),
         worst_underestimate=min(ratios),
         worst_overestimate=max(ratios),
         nets_compared=len(ratios),

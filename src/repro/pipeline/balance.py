@@ -22,6 +22,7 @@ import networkx as nx
 from repro.cells.library import CellLibrary
 from repro.netlist.graph import instance_graph
 from repro.netlist.module import Module
+from repro.numeric import left_sum
 from repro.pipeline.overheads import PipelineError
 
 
@@ -42,7 +43,7 @@ class BalanceReport:
     @property
     def imbalance(self) -> float:
         """Max stage delay over mean stage delay (1.0 = perfect)."""
-        mean = sum(self.stage_delays_ps) / len(self.stage_delays_ps)
+        mean = left_sum(self.stage_delays_ps) / len(self.stage_delays_ps)
         return max(self.stage_delays_ps) / mean if mean else 1.0
 
 

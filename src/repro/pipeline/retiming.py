@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
+from repro.numeric import left_sum
 from repro.pipeline.overheads import PipelineError
 
 
@@ -191,7 +192,7 @@ def _candidate_periods(graph: nx.DiGraph) -> list[float]:
     big = math.inf
     w_mat = {u: {v: big for v in nodes} for u in nodes}
     d_mat = {u: {v: -big for v in nodes} for u in nodes}
-    scale = 1.0 + sum(graph.nodes[n]["delay"] for n in nodes)
+    scale = 1.0 + left_sum(graph.nodes[n]["delay"] for n in nodes)
     # Shortest path on composite weight w*scale - d(u); then recover.
     comp = nx.DiGraph()
     comp.add_nodes_from(nodes)

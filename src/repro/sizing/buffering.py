@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from repro.cells.library import CellLibrary
 from repro.netlist.module import Module
 from repro.netlist.nets import is_port_ref
+from repro.numeric import left_sum
 from repro.sizing.logical_effort import SizingError
 
 
@@ -93,7 +94,7 @@ def buffer_high_fanout(
             sinks[i: i + max_fanout] for i in range(0, len(sinks), max_fanout)
         ]
         for group in groups:
-            group_load = sum(
+            group_load = left_sum(
                 library.get(module.instance(i).cell_name).input_cap_ff(p)
                 for i, p in group
             )

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.numeric import left_sum
 from repro.par.memo import memoized
 
 
@@ -103,7 +104,7 @@ def _optimize_path_cached(
     path_effort = g_total * b_total * electrical_effort
     n = len(stages)
     f = path_effort ** (1.0 / n)
-    delay = n * f + sum(s.parasitic for s in stages)
+    delay = n * f + left_sum(s.parasitic for s in stages)
     # Work backwards: C_in(i) = g_i * C_out(i) * b_i / f.
     caps = [0.0] * n
     cout = electrical_effort  # in units of the path input cap

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from repro import obs
 from repro.cells.library import CellLibrary
 from repro.netlist.module import Module
+from repro.numeric import left_sum
 from repro.par.session import ArrayTimingSession
 from repro.sizing.logical_effort import SizingError
 from repro.sta.clocking import Clock
@@ -70,7 +71,7 @@ class SizingResult:
 
 def total_area_um2(module: Module, library: CellLibrary) -> float:
     """Total cell area of a mapped netlist."""
-    return sum(
+    return left_sum(
         library.get(inst.cell_name).area_um2 for inst in module.iter_instances()
     )
 
